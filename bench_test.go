@@ -102,8 +102,9 @@ func BenchmarkPathExitPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkIdealPathPredict measures the alias-free predictor's map-keyed
-// step cost.
+// BenchmarkIdealPathPredict measures the alias-free predictor's step
+// cost through PredictExit/UpdateExit (a flat context-table probe, with
+// the update hitting the table's last-slot cache).
 func BenchmarkIdealPathPredict(b *testing.B) {
 	tr := benchTrace(b, "exprc", 200000)
 	p := core.NewIdealPath(7, core.LEH2)
@@ -338,6 +339,48 @@ func BenchmarkEvaluateExitPathBlocks(b *testing.B) {
 func BenchmarkEvaluateIndirectBlocks(b *testing.B) {
 	c := benchColumnarTrace(b, "minilisp")
 	buf := &probeBuf{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.EvaluateIndirectBlocks(c.Blocks(), buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerStepN(b, c.PredictionSteps())
+}
+
+// BenchmarkEvaluateExitIdealBlocks replays the alias-free exit
+// predictors of the limit study through their block replayers: one
+// context-table probe per step. One untimed replay first grows the
+// context tables, which Reset keeps, so allocs/op is the per-run count
+// at any -benchtime.
+func BenchmarkEvaluateExitIdealBlocks(b *testing.B) {
+	c := benchColumnarTrace(b, "exprc")
+	for _, scheme := range []string{"ipath", "iglobal", "iper"} {
+		b.Run(scheme, func(b *testing.B) {
+			p := engine.MustBuildExit(scheme + ":d7:leh2")
+			if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerStepN(b, c.PredictionSteps())
+		})
+	}
+}
+
+// BenchmarkEvaluateIndirectIdealBlocks replays the alias-free CTTB
+// through its block replayer, warmed like
+// BenchmarkEvaluateExitIdealBlocks.
+func BenchmarkEvaluateIndirectIdealBlocks(b *testing.B) {
+	c := benchColumnarTrace(b, "minilisp")
+	buf := engine.MustBuildTarget("icttb:d7")
+	if _, err := core.EvaluateIndirectBlocks(c.Blocks(), buf); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateIndirectBlocks(c.Blocks(), buf); err != nil {

@@ -8,9 +8,12 @@
 //     tie-breaking;
 //   - history generation schemes (§5.2): GLOBAL (exit-number history),
 //     PER (per-task exit history) and PATH (task-address path history),
-//     each as an ideal, alias-free predictor (map-backed, used for the
-//     paper's limit studies) and — for PATH — as a real implementation
-//     indexed by the DOLC folding scheme of §6 (Figure 9);
+//     each as an ideal, alias-free predictor (used for the paper's limit
+//     studies: a flat context table holding each context's exact key and
+//     packed automaton state; PATH keys keep 16 bits per task address, so
+//     they are exact for programs of at most 65536 instructions) and —
+//     for PATH — as a real implementation indexed by the DOLC folding
+//     scheme of §6 (Figure 9);
 //   - target-address prediction (§5.3): a return address stack, and the
 //     Task Target Buffer in both its naive (task-address-indexed TTB) and
 //     correlated (path-indexed CTTB) forms, ideal and real;
@@ -79,8 +82,12 @@ type ExitPredictor interface {
 // Aliased or untrained automata can emit exit numbers the current task
 // does not have; hardware would resolve these against the 4-entry header,
 // which we model by clamping.
-func clampExit(exit int, t *tfg.Task) int {
-	if n := t.NumExits(); exit >= n {
+func clampExit(exit int, t *tfg.Task) int { return clampExitN(exit, t.NumExits()) }
+
+// clampExitN is clampExit against an exit count, as the block replayers
+// read it from a trace dictionary.
+func clampExitN(exit, n int) int {
+	if exit >= n {
 		if n == 0 {
 			return 0
 		}

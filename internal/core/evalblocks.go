@@ -210,17 +210,7 @@ func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 				misses++
 			}
 		} else {
-			pred := p.slotAt(p.dolc.Index(&p.hist, ent.Addr)).Predict()
-			// clampExit against the dictionary's exit count.
-			if n := int(ent.NumExits); pred >= n {
-				if n == 0 {
-					pred = 0
-				} else {
-					pred = n - 1
-				}
-			} else if pred < 0 {
-				pred = 0
-			}
+			pred := clampExitN(p.slotAt(p.dolc.Index(&p.hist, ent.Addr)).Predict(), int(ent.NumExits))
 			if pred != int(e) {
 				misses++
 			}

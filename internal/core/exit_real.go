@@ -109,7 +109,7 @@ func (p *PathExit) States() int { return p.touched }
 // Reset implements ExitPredictor.
 func (p *PathExit) Reset() {
 	p.hist.Reset()
-	p.pht = make([]Automaton, p.dolc.TableSize())
+	clear(p.pht)
 	p.touched = 0
 	p.pendHead, p.pendN = 0, 0
 	p.undo.reset()
@@ -254,7 +254,7 @@ func (p *GlobalExit) States() int { return p.touched }
 // Reset implements ExitPredictor.
 func (p *GlobalExit) Reset() {
 	p.hist = 0
-	p.pht = make([]Automaton, 1<<uint(p.indexBits))
+	clear(p.pht)
 	p.touched = 0
 	p.undo.reset()
 	p.rng = newRNG(11)
@@ -353,8 +353,8 @@ func (p *PerExit) States() int { return p.touched }
 
 // Reset implements ExitPredictor.
 func (p *PerExit) Reset() {
-	p.hrt = make([]ExitHistory, 1<<uint(p.hrtBits))
-	p.pht = make([]Automaton, 1<<uint(p.indexBits))
+	clear(p.hrt)
+	clear(p.pht)
 	p.touched = 0
 	p.undo.reset()
 	p.rng = newRNG(13)

@@ -43,8 +43,11 @@ func (h *PathHistory) Reset() { *h = PathHistory{} }
 // PathKey is an exact, collision-free encoding of (current task, D
 // preceding task addresses) used by the ideal (alias-free) predictors.
 // Sixteen address bits are kept per task, which is exact for programs up
-// to 65536 instructions — enforced by the workloads and checked by the
-// evaluation driver.
+// to 65536 instructions, the limit the MSL compiler enforces. Element i
+// (0 = the current task, 1 = its immediate predecessor) occupies bits
+// 16i..16i+15 of the 192-bit key. The key does not encode the depth: a
+// table of keys belongs to one predictor, so every key in it has the
+// same depth.
 type PathKey [3]uint64
 
 // pathKeyBits is how many address bits each path element contributes to a
@@ -56,21 +59,48 @@ const pathKeyBits = 16
 func MakePathKey(h *PathHistory, current isa.Addr, depth int) PathKey {
 	var k PathKey
 	k[0] = uint64(current) & (1<<pathKeyBits - 1)
-	slot, shift := 0, pathKeyBits
 	for i := 1; i <= depth; i++ {
-		if shift == 64 {
-			slot++
-			shift = 0
-		}
-		k[slot] |= (uint64(h.At(i)) & (1<<pathKeyBits - 1)) << shift
-		shift += pathKeyBits
+		bit := i * pathKeyBits
+		k[bit/64] |= (uint64(h.At(i)) & (1<<pathKeyBits - 1)) << (bit % 64)
 	}
-	// Mix the depth itself into the top bits so keys of different depths
-	// never collide when predictors are (incorrectly) shared; cheap
-	// defence, costs nothing.
-	k[2] |= uint64(depth) << 56
 	return k
 }
+
+// pathReg is the ideal PATH and CTTB predictors' path history: a 192-bit
+// shift register in the PathKey layout, with lane i holding the i-th most
+// recent task address and lanes beyond the predictor's depth masked off.
+// Lane 0 stays clear for the current task, so the exact context key is
+// the register with the current address ORed in — equal to MakePathKey
+// over the same history, without a rebuild loop.
+type pathReg struct {
+	w    ctxKey // lanes 1..depth
+	mask ctxKey
+}
+
+func newPathReg(depth int) pathReg {
+	var r pathReg
+	for i := 1; i <= depth; i++ {
+		bit := i * pathKeyBits
+		r.mask[bit/64] |= (1<<pathKeyBits - 1) << (bit % 64)
+	}
+	return r
+}
+
+// push shifts a completed task's address into lane 1.
+func (r *pathReg) push(addr isa.Addr) {
+	const carry = 64 - pathKeyBits
+	r.w[2] = (r.w[2]<<pathKeyBits | r.w[1]>>carry) & r.mask[2]
+	r.w[1] = (r.w[1]<<pathKeyBits | r.w[0]>>carry) & r.mask[1]
+	r.w[0] = (r.w[0]<<pathKeyBits | (uint64(addr)&(1<<pathKeyBits-1))<<pathKeyBits) & r.mask[0]
+}
+
+// key returns the exact context key of the current task at this history.
+func (r *pathReg) key(current isa.Addr) ctxKey {
+	return ctxKey{r.w[0] | uint64(current)&(1<<pathKeyBits-1), r.w[1], r.w[2]}
+}
+
+// reset clears the history.
+func (r *pathReg) reset() { r.w = ctxKey{} }
 
 // ExitHistory is a global or per-task exit-number shift register: two bits
 // per task step encoding which of the four exits was taken (§5.2,

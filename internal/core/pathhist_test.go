@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,14 +62,69 @@ func TestPathKeyInjective(t *testing.T) {
 	}
 }
 
-func TestPathKeyDepthsDisjoint(t *testing.T) {
-	var h PathHistory
-	h.Push(5)
-	h.Push(9)
-	k3 := MakePathKey(&h, 7, 3)
-	k4 := MakePathKey(&h, 7, 4)
-	if k3 == k4 {
-		t.Fatalf("keys of different depths must differ")
+// Property: at every depth the key is injective over (current, the
+// depth most recent predecessors) for addresses that use all 16 bits,
+// and ignores older history. The d11 case pins the former aliasing, when
+// a depth tag shared bits with the 11th element.
+func TestPathKeyInjectiveAtEveryDepth(t *testing.T) {
+	r := newRNG(11)
+	addr := func() isa.Addr {
+		// Mostly draws from a small alphabet so equal elements occur, with
+		// the top bit forced on half the time.
+		a := isa.Addr(r.intn(4))
+		if r.intn(2) == 0 {
+			a |= 0x8000 | isa.Addr(r.intn(1<<15))
+		}
+		return a
+	}
+	for depth := 0; depth <= MaxHistoryDepth; depth++ {
+		for trial := 0; trial < 3000; trial++ {
+			var a, b [MaxHistoryDepth]isa.Addr
+			var ha, hb PathHistory
+			for i := range a {
+				a[i], b[i] = addr(), addr()
+				if r.intn(3) == 0 {
+					b[i] = a[i]
+				}
+			}
+			for i := len(a) - 1; i >= 0; i-- {
+				ha.Push(a[i])
+				hb.Push(b[i])
+			}
+			curA, curB := addr(), addr()
+			same := curA == curB && slices.Equal(a[:depth], b[:depth])
+			if got := MakePathKey(&ha, curA, depth) == MakePathKey(&hb, curB, depth); got != same {
+				t.Fatalf("depth %d: keys equal=%v for cur %#x/%#x, paths %#x/%#x", depth, got, curA, curB, a[:depth], b[:depth])
+			}
+		}
+	}
+	var h1, h2 PathHistory
+	h1.Push(0x12)
+	h2.Push(0x112)
+	for i := 1; i < MaxHistoryDepth; i++ {
+		h1.Push(7)
+		h2.Push(7)
+	}
+	if MakePathKey(&h1, 7, MaxHistoryDepth) == MakePathKey(&h2, 7, MaxHistoryDepth) {
+		t.Fatal("d11 keys alias on the oldest element's high bits")
+	}
+}
+
+// The ideal predictors' packed path register must produce exactly
+// MakePathKey's key over the same pushes, at every depth.
+func TestPathRegMatchesMakePathKey(t *testing.T) {
+	r := newRNG(5)
+	for depth := 0; depth <= MaxHistoryDepth; depth++ {
+		reg := newPathReg(depth)
+		var h PathHistory
+		for step := 0; step < 200; step++ {
+			cur := isa.Addr(r.intn(1 << 16))
+			if got, want := reg.key(cur), MakePathKey(&h, cur, depth); got != ctxKey(want) {
+				t.Fatalf("depth %d step %d: register key %#x, MakePathKey %#x", depth, step, got, want)
+			}
+			reg.push(cur)
+			h.Push(cur)
+		}
 	}
 }
 

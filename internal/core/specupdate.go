@@ -92,31 +92,30 @@ type SpecTaskPredictor interface {
 // Undo-log entry kinds. Each predictor interprets its own entries via
 // applyUndo; kinds are shared so the ring stays one flat struct type.
 const (
-	undoAutState      uint8 = iota // pht[idx]: restore packed automaton state
-	undoAutCreate                  // pht[idx]: entry was created by this update — remove
-	undoPathHist                   // PathHistory: restore overwritten slot + head
-	undoExitHist                   // ExitHistory register: restore prev word
-	undoHRT                        // PerExit hrt[idx]: restore prev word
-	undoPerHist                    // IdealPer hists[addr]: restore prev word
-	undoMapState                   // ideal table: restore packed state through aut
-	undoMapCreateExit              // ideal exit table: delete exitKey{addr, prev}
-	undoMapCreatePath              // ideal path table: delete PathKey
-	undoTTBEntry                   // CTTB entries[idx]: restore packed entry
-	undoTTBIdeal                   // IdealCTTB: restore packed entry through ttb
-	undoTTBCreate                  // IdealCTTB: delete PathKey
+	undoAutState  uint8 = iota // pht[idx]: restore packed automaton state
+	undoAutCreate              // pht[idx]: entry was created by this update — remove
+	undoPathHist               // PathHistory: restore overwritten slot + head
+	undoExitHist               // ExitHistory register: restore prev word
+	undoHRT                    // PerExit hrt[idx]: restore prev word
+	undoTTBEntry               // CTTB entries[idx]: restore packed entry
+	undoCtxState               // ideal context table: restore key's packed state
+	undoCtxCreate              // ideal context table: key was created by this update — delete
+	undoPathReg                // ideal path register: restore the packed register (key)
+	undoPerHist                // IdealPer history table: restore addr's history word
 )
 
 // specUndo is one logged inverse operation. prev carries the packed
 // prior state (automaton pack, history word, or TTB entry pack); idx,
-// addr, key and the pointers give the entry its location.
+// addr and key give the entry its location. Ideal-table entries are
+// located by their context key, never by slot, because slots move when
+// the table grows or deletes. The entry holds no pointers, so the ring
+// is invisible to the garbage collector.
 type specUndo struct {
 	kind uint8
 	idx  uint32
 	addr isa.Addr
 	prev uint64
-	aut  Automaton
-	ttb  *ttbEntry
-	key  PathKey
+	key  ctxKey
 }
 
 // undoApplier is implemented by every spec-capable predictor: apply one
@@ -165,8 +164,7 @@ func (r *undoRing) grow() {
 }
 
 // repairTo drains entries newest-first down to mark m, applying each
-// inverse through ap. Entries are cleared as they drain so rolled-back
-// automaton and map-entry pointers do not pin garbage.
+// inverse through ap.
 func (r *undoRing) repairTo(m SpecMark, ap undoApplier) (frames int) {
 	keep := int(uint64(m) - r.base)
 	drained := r.n - keep
@@ -175,9 +173,7 @@ func (r *undoRing) repairTo(m SpecMark, ap undoApplier) (frames int) {
 		if i >= len(r.buf) {
 			i -= len(r.buf)
 		}
-		e := &r.buf[i]
-		ap.applyUndo(e)
-		*e = specUndo{}
+		ap.applyUndo(&r.buf[i])
 		r.n--
 	}
 	return drained
@@ -190,13 +186,6 @@ func (r *undoRing) commitTo(m SpecMark) {
 	if drop > r.n {
 		drop = r.n
 	}
-	for i := 0; i < drop; i++ {
-		j := r.head + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		r.buf[j] = specUndo{}
-	}
 	r.head += drop
 	if r.head >= len(r.buf) {
 		r.head -= len(r.buf)
@@ -206,16 +195,7 @@ func (r *undoRing) commitTo(m SpecMark) {
 }
 
 // reset clears the log (predictor Reset).
-func (r *undoRing) reset() {
-	for i := 0; i < r.n; i++ {
-		j := r.head + i
-		if j >= len(r.buf) {
-			j -= len(r.buf)
-		}
-		r.buf[j] = specUndo{}
-	}
-	r.head, r.n, r.base = 0, 0, 0
-}
+func (r *undoRing) reset() { r.head, r.n, r.base = 0, 0, 0 }
 
 // logPathHist records the inverse of an imminent hist.Push(addr): the
 // head position and the ring slot the push will overwrite.
@@ -232,20 +212,6 @@ func logPathHist(log *undoRing, h *PathHistory) {
 func undoPathHistApply(h *PathHistory, e *specUndo) {
 	h.ring[h.head] = e.addr
 	h.head = int(e.idx)
-}
-
-func packTTBEntry(e *ttbEntry) uint64 {
-	v := uint64(uint32(e.target)) | uint64(uint8(e.ctr))<<32
-	if e.valid {
-		v |= 1 << 40
-	}
-	return v
-}
-
-func unpackTTBEntry(e *ttbEntry, v uint64) {
-	e.target = isa.Addr(uint32(v))
-	e.ctr = int8(uint8(v >> 32))
-	e.valid = v&(1<<40) != 0
 }
 
 // --- PathExit ---
@@ -341,14 +307,11 @@ func (p *IdealGlobal) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
 func (p *IdealGlobal) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *IdealGlobal) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoMapState:
-		e.aut.(autState).unpackState(e.prev)
-	case undoMapCreateExit:
-		delete(p.table, exitKey{addr: e.addr, hist: ExitHistory(e.prev)})
-	case undoExitHist:
+	if e.kind == undoExitHist {
 		p.hist = ExitHistory(e.prev)
+		return
 	}
+	p.table.applyUndo(e)
 }
 
 // --- IdealPer ---
@@ -366,14 +329,11 @@ func (p *IdealPer) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
 func (p *IdealPer) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *IdealPer) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoMapState:
-		e.aut.(autState).unpackState(e.prev)
-	case undoMapCreateExit:
-		delete(p.table, exitKey{addr: e.addr, hist: ExitHistory(e.prev)})
-	case undoPerHist:
-		p.hists[e.addr] = ExitHistory(e.prev)
+	if e.kind == undoPerHist {
+		p.setHist(e.addr, ExitHistory(e.prev))
+		return
 	}
+	p.table.applyUndo(e)
 }
 
 // --- IdealPath ---
@@ -391,14 +351,11 @@ func (p *IdealPath) RepairExit(m SpecMark) { p.undo.repairTo(m, p) }
 func (p *IdealPath) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *IdealPath) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoMapState:
-		e.aut.(autState).unpackState(e.prev)
-	case undoMapCreatePath:
-		delete(p.table, e.key)
-	case undoPathHist:
-		undoPathHistApply(&p.hist, e)
+	if e.kind == undoPathReg {
+		p.reg.w = e.key
+		return
 	}
+	p.table.applyUndo(e)
 }
 
 // --- CTTB ---
@@ -438,23 +395,12 @@ func (b *CTTB) applyUndo(e *specUndo) {
 // --- IdealCTTB ---
 
 // SpecTrain implements SpecTargetBuffer.
-func (b *IdealCTTB) SpecTrain(current, target isa.Addr) {
-	k := MakePathKey(&b.hist, current, b.depth)
-	e := b.entries[k]
-	if e == nil {
-		e = &ttbEntry{}
-		b.entries[k] = e
-		b.undo.push(specUndo{kind: undoTTBCreate, key: k})
-	} else {
-		b.undo.push(specUndo{kind: undoTTBIdeal, ttb: e, prev: packTTBEntry(e)})
-	}
-	e.train(target)
-}
+func (b *IdealCTTB) SpecTrain(current, target isa.Addr) { b.train(current, target, &b.undo) }
 
 // SpecAdvance implements SpecTargetBuffer.
 func (b *IdealCTTB) SpecAdvance(current isa.Addr) {
-	logPathHist(&b.undo, &b.hist)
-	b.hist.Push(current)
+	b.undo.push(specUndo{kind: undoPathReg, key: b.reg.w})
+	b.reg.push(current)
 }
 
 // MarkTarget implements SpecTargetBuffer.
@@ -467,14 +413,11 @@ func (b *IdealCTTB) RepairTarget(m SpecMark) { b.undo.repairTo(m, b) }
 func (b *IdealCTTB) CommitTarget(m SpecMark) { b.undo.commitTo(m) }
 
 func (b *IdealCTTB) applyUndo(e *specUndo) {
-	switch e.kind {
-	case undoTTBIdeal:
-		unpackTTBEntry(e.ttb, e.prev)
-	case undoTTBCreate:
-		delete(b.entries, e.key)
-	case undoPathHist:
-		undoPathHistApply(&b.hist, e)
+	if e.kind == undoPathReg {
+		b.reg.w = e.key
+		return
 	}
+	b.table.applyUndo(e)
 }
 
 // --- Sessions ---

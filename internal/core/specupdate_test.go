@@ -4,15 +4,21 @@ import (
 	"reflect"
 	"testing"
 
+	"multiscalar/internal/isa"
+	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 )
 
 // specExitFamilies builds one fresh exit predictor per supported family.
 func specExitFamilies() map[string]func() ExitPredictor {
 	return map[string]func() ExitPredictor{
-		"path-real":   func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}) },
-		"path-skip":   func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{SkipSingleExit: true}) },
-		"path-vcrand": func() ExitPredictor { return MustPathExit(MustDOLC(3, 5, 5, 5, 1), VC3Random, PathExitOptions{Seed: 7}) },
+		"path-real": func() ExitPredictor { return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{}) },
+		"path-skip": func() ExitPredictor {
+			return MustPathExit(MustDOLC(4, 8, 8, 8, 2), LEH2, PathExitOptions{SkipSingleExit: true})
+		},
+		"path-vcrand": func() ExitPredictor {
+			return MustPathExit(MustDOLC(3, 5, 5, 5, 1), VC3Random, PathExitOptions{Seed: 7})
+		},
 		"global-real": func() ExitPredictor { p, _ := NewGlobalExit(4, 6, 10, LEH2); return p },
 		"per-real":    func() ExitPredictor { p, _ := NewPerExit(4, 6, 6, 10, LEH2); return p },
 		"iglobal":     func() ExitPredictor { return NewIdealGlobal(4, LEH2) },
@@ -203,5 +209,86 @@ func TestSpecRepairRestoresExactState(t *testing.T) {
 		if clean.States() != dirty.States() {
 			t.Errorf("%s: States diverge after repairs: %d vs %d", name, clean.States(), dirty.States())
 		}
+	}
+}
+
+// Wrong-path creations that grow an ideal context table must repair
+// away exactly: the undo log names contexts by key, so the deletes find
+// their entries after the growth moved every slot, and the repaired
+// predictor then matches a never-speculated twin in States() and in
+// every later prediction.
+func TestSpecRepairAcrossTableGrowth(t *testing.T) {
+	_, tr := synthGraph()
+	exits := map[string]func() ExitPredictor{
+		"iglobal": func() ExitPredictor { return NewIdealGlobal(MaxHistoryDepth, VC2Random) },
+		"iper":    func() ExitPredictor { return NewIdealPer(4, VC3MRU) },
+		"ipath":   func() ExitPredictor { return NewIdealPath(4, VC2Random) },
+	}
+	// Enough distinct wrong-path contexts to pass the initial table's
+	// load bound at least twice.
+	wrong := make([]*tfg.Task, 4*ctxInitSlots)
+	for i := range wrong {
+		wrong[i] = mkTask(isa.Addr(1000+i), branchSpec(10), branchSpec(20), branchSpec(30))
+	}
+	half := len(tr.Steps) / 2
+	for name, mk := range exits {
+		clean, dirty := mk(), mk()
+		clean.Reset()
+		dirty.Reset()
+		sd := dirty.(SpecExitPredictor)
+		for i, st := range tr.Steps {
+			if st.Exit == trace.HaltExit {
+				continue
+			}
+			task := tr.Graph.TaskAt(st.Task)
+			if pc, pd := clean.PredictExit(task), dirty.PredictExit(task); pc != pd {
+				t.Fatalf("%s: step %d: predictions diverge (%d vs %d) after repair", name, i, pc, pd)
+			}
+			if i == half {
+				before := dirty.States()
+				m := sd.MarkExit()
+				for j, w := range wrong {
+					sd.SpecUpdateExit(w, j%3)
+				}
+				if dirty.States() < before+len(wrong) {
+					t.Fatalf("%s: wrong path created %d contexts, want %d", name, dirty.States()-before, len(wrong))
+				}
+				sd.RepairExit(m)
+				if dirty.States() != before {
+					t.Fatalf("%s: States %d after repair, want %d", name, dirty.States(), before)
+				}
+			}
+			clean.UpdateExit(task, int(st.Exit))
+			dirty.UpdateExit(task, int(st.Exit))
+		}
+		if clean.States() != dirty.States() {
+			t.Errorf("%s: States diverge after repair: %d vs %d", name, clean.States(), dirty.States())
+		}
+	}
+
+	clean, dirty := NewIdealCTTB(4), NewIdealCTTB(4)
+	for i := 0; i < 2000; i++ {
+		cur, next := isa.Addr(i%7), isa.Addr(i%5)
+		if i == 1000 {
+			before := dirty.States()
+			m := dirty.MarkTarget()
+			for j := 0; j < 4*ctxInitSlots; j++ {
+				dirty.SpecTrain(isa.Addr(3000+j), isa.Addr(j))
+				dirty.SpecAdvance(isa.Addr(3000 + j))
+			}
+			dirty.RepairTarget(m)
+			if dirty.States() != before {
+				t.Fatalf("icttb: States %d after repair, want %d", dirty.States(), before)
+			}
+		}
+		gc, okc := clean.Lookup(cur)
+		gd, okd := dirty.Lookup(cur)
+		if gc != gd || okc != okd {
+			t.Fatalf("icttb: step %d: lookups diverge after repair", i)
+		}
+		clean.Train(cur, next)
+		dirty.Train(cur, next)
+		clean.Advance(cur)
+		dirty.Advance(cur)
 	}
 }

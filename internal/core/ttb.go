@@ -5,6 +5,7 @@ import (
 
 	"multiscalar/internal/isa"
 	"multiscalar/internal/obs"
+	"multiscalar/internal/trace"
 )
 
 // TargetBuffer is the interface shared by the task target buffer variants
@@ -36,34 +37,54 @@ type TargetBuffer interface {
 
 // ttbEntry is one target buffer entry: a target address with an LEH-style
 // 2-bit hysteresis counter (the entry's target is replaced only when the
-// counter has decayed to zero and the entry misses again).
+// counter has decayed to zero and the entry misses again). Packed, it is
+// the target in bits 0–31, the counter in bits 32–39 and the valid flag
+// in bit 40; ttbTrain defines the training rule over that word.
 type ttbEntry struct {
 	target isa.Addr
 	ctr    int8
 	valid  bool
 }
 
-func (e *ttbEntry) train(actual isa.Addr) {
-	const max = 3
-	if !e.valid {
-		e.target = actual
-		e.ctr = 1
-		e.valid = true
-		return
+const ttbValid = 1 << 40
+
+func packTTBEntry(e *ttbEntry) uint64 {
+	v := uint64(uint32(e.target)) | uint64(uint8(e.ctr))<<32
+	if e.valid {
+		v |= ttbValid
 	}
-	if e.target == actual {
-		if e.ctr < max {
-			e.ctr++
-		}
-		return
-	}
-	if e.ctr == 0 {
-		e.target = actual
-		e.ctr = 1
-		return
-	}
-	e.ctr--
+	return v
 }
+
+func unpackTTBEntry(e *ttbEntry, v uint64) {
+	e.target = isa.Addr(uint32(v))
+	e.ctr = int8(uint8(v >> 32))
+	e.valid = v&ttbValid != 0
+}
+
+// ttbTrain returns packed entry v trained toward the actual target.
+func ttbTrain(v uint64, actual isa.Addr) uint64 {
+	const max = 3
+	target, ctr := isa.Addr(uint32(v)), int8(uint8(v>>32))
+	switch {
+	case v&ttbValid == 0 || (target != actual && ctr == 0):
+		target, ctr = actual, 1
+	case target == actual:
+		if ctr < max {
+			ctr++
+		}
+	default:
+		ctr--
+	}
+	return uint64(uint32(target)) | uint64(uint8(ctr))<<32 | ttbValid
+}
+
+// ttbLookup returns packed entry v's prediction.
+func ttbLookup(v uint64) (isa.Addr, bool) {
+	return isa.Addr(uint32(v)), v&ttbValid != 0
+}
+
+func (e *ttbEntry) train(actual isa.Addr) { unpackTTBEntry(e, ttbTrain(packTTBEntry(e), actual)) }
 
 // CTTB is the real Correlated Task Target Buffer: a direct-mapped table
 // of target entries indexed by the same DOLC fold of path history and
@@ -127,7 +148,7 @@ func (b *CTTB) States() int { return b.touched }
 // Reset implements TargetBuffer.
 func (b *CTTB) Reset() {
 	b.hist.Reset()
-	b.entries = make([]ttbEntry, b.dolc.TableSize())
+	clear(b.entries)
 	b.touched = 0
 	b.undo.reset()
 }
@@ -172,12 +193,14 @@ func (b *CTTB) train(current isa.Addr, actual isa.Addr, log *undoRing) {
 func (b *CTTB) Advance(current isa.Addr) { b.hist.Push(current) }
 
 // IdealCTTB is the alias-free CTTB limit: entries keyed by the exact
-// (path, current task) context, with unbounded capacity (Figure 8).
+// (path, current task) context in a flat context table, with unbounded
+// capacity (Figure 8). Contexts are created by training only, so States
+// counts trained contexts.
 type IdealCTTB struct {
-	depth   int
-	hist    PathHistory
-	entries map[PathKey]*ttbEntry
-	undo    undoRing
+	depth int
+	reg   pathReg
+	table ctxTable
+	undo  undoRing
 }
 
 // NewIdealCTTB builds an infinite, alias-free correlated target buffer of
@@ -188,44 +211,66 @@ type IdealCTTB struct {
 // constants; the panic marks a programming error, not an input error
 // (see the panic contract on MustDOLC).
 func NewIdealCTTB(depth int) *IdealCTTB {
-	if depth < 0 || depth > MaxHistoryDepth {
-		panic(fmt.Sprintf("core: IdealCTTB depth %d out of range", depth))
-	}
-	return &IdealCTTB{depth: depth, entries: make(map[PathKey]*ttbEntry)}
+	checkIdealDepth("IdealCTTB", depth)
+	return &IdealCTTB{depth: depth, reg: newPathReg(depth), table: newCtxTable()}
 }
 
 // Name implements TargetBuffer.
 func (b *IdealCTTB) Name() string { return fmt.Sprintf("CTTB-ideal(d=%d)", b.depth) }
 
 // States implements TargetBuffer.
-func (b *IdealCTTB) States() int { return len(b.entries) }
+func (b *IdealCTTB) States() int { return b.table.len() }
 
 // Reset implements TargetBuffer.
 func (b *IdealCTTB) Reset() {
-	b.hist.Reset()
-	b.entries = make(map[PathKey]*ttbEntry)
+	b.reg.reset()
+	b.table.reset()
 	b.undo.reset()
 }
 
 // Lookup implements TargetBuffer.
 func (b *IdealCTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
-	e := b.entries[MakePathKey(&b.hist, current, b.depth)]
-	if e == nil || !e.valid {
-		return 0, false
+	k := b.reg.key(current)
+	if i, ok := b.table.probe(&k); ok {
+		return ttbLookup(b.table.state(i))
 	}
-	return e.target, true
+	return 0, false
 }
 
 // Train implements TargetBuffer.
-func (b *IdealCTTB) Train(current isa.Addr, actual isa.Addr) {
-	k := MakePathKey(&b.hist, current, b.depth)
-	e := b.entries[k]
-	if e == nil {
-		e = &ttbEntry{}
-		b.entries[k] = e
+func (b *IdealCTTB) Train(current isa.Addr, actual isa.Addr) { b.train(current, actual, nil) }
+
+func (b *IdealCTTB) train(current isa.Addr, actual isa.Addr, log *undoRing) {
+	k := b.reg.key(current)
+	i, created := b.table.upsert(&k, 0)
+	if log != nil {
+		b.table.logUpdate(log, &k, i, created)
 	}
-	e.train(actual)
+	b.table.setState(i, ttbTrain(b.table.state(i), actual))
 }
 
 // Advance implements TargetBuffer.
-func (b *IdealCTTB) Advance(current isa.Addr) { b.hist.Push(current) }
+func (b *IdealCTTB) Advance(current isa.Addr) { b.reg.push(current) }
+
+// ReplayTargetBlock implements TargetBlockReplayer: Lookup and Train
+// fused over one probe per indirect step.
+func (b *IdealCTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	taskIdx, exits, targetIdx := blk.TaskIdx, blk.Exits, blk.TargetIdx
+	for j := 0; j < blk.N; j++ {
+		ent := &entries[taskIdx[j]]
+		if e := exits[j]; e != trace.HaltExit && ent.Indirect[e] {
+			target := entries[targetIdx[j]].Addr
+			steps++
+			k := b.reg.key(ent.Addr)
+			i, _ := b.table.upsert(&k, 0) // a new context reads as an invalid entry
+			v := b.table.state(i)
+			if got, valid := ttbLookup(v); !valid || got != target {
+				misses++
+			}
+			b.table.setState(i, ttbTrain(v, target))
+		}
+		b.reg.push(ent.Addr)
+	}
+	return steps, misses
+}

@@ -75,7 +75,7 @@ const (
 	SchemeGlobal
 	// SchemePer is the real per-task-history PER predictor.
 	SchemePer
-	// SchemeIdealPath is the alias-free map-backed PATH predictor.
+	// SchemeIdealPath is the alias-free PATH predictor.
 	SchemeIdealPath
 	// SchemeIdealGlobal is the alias-free GLOBAL predictor.
 	SchemeIdealGlobal

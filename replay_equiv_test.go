@@ -50,6 +50,9 @@ var equivExitSpecs = []string{
 	"global:d7-c14-i14:leh2",
 	"per:d7-h12-t14-i14:leh2",
 	"ipath:d7:leh2",
+	"ipath:d3:vc2rand",
+	"iglobal:d7:leh2",
+	"iper:d7:vc3mru",
 }
 
 var equivTargetSpecs = []string{
