@@ -18,6 +18,7 @@ import (
 	"multiscalar/internal/core"
 	"multiscalar/internal/engine"
 	"multiscalar/internal/experiments"
+	"multiscalar/internal/fault"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/msl"
 	"multiscalar/internal/sim/functional"
@@ -163,8 +164,11 @@ func BenchmarkHeaderPredictorStep(b *testing.B) {
 // resolved fast path eliminates. The ...Unresolved twins run the
 // reference path over the same trace, so the fast-path speedup is the
 // ratio of each pair. The Composed/Path variants replay a real paper
-// predictor for end-to-end numbers. All of these feed the benchdiff
-// regression gate (scripts/benchdiff, BENCH_baseline.json).
+// predictor for end-to-end numbers; those, like every real-predictor
+// benchmark below, replay once untimed first, so allocs/op is the
+// per-run count at any -benchtime rather than a share of one-time
+// warm-up allocations. All of these feed the benchdiff regression gate
+// (scripts/benchdiff, BENCH_baseline.json).
 
 const benchReplaySteps = 120000
 
@@ -215,6 +219,7 @@ func BenchmarkEvaluateExitUnresolved(b *testing.B) {
 func BenchmarkEvaluateExitPath(b *testing.B) {
 	tr, rt := benchResolvedTrace(b, "exprc")
 	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
+	_ = core.EvaluateExitResolved(rt, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.EvaluateExitResolved(rt, p)
@@ -225,6 +230,7 @@ func BenchmarkEvaluateExitPath(b *testing.B) {
 func BenchmarkEvaluateExitPathUnresolved(b *testing.B) {
 	tr, _ := benchResolvedTrace(b, "exprc")
 	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
+	_ = core.EvaluateExitUnresolved(tr, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.EvaluateExitUnresolved(tr, p)
@@ -275,6 +281,7 @@ func BenchmarkEvaluateTaskUnresolved(b *testing.B) {
 func BenchmarkEvaluateTaskComposed(b *testing.B) {
 	tr, rt := benchResolvedTrace(b, "minilisp")
 	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+	_ = core.EvaluateTaskResolved(rt, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.EvaluateTaskResolved(rt, p)
@@ -285,9 +292,32 @@ func BenchmarkEvaluateTaskComposed(b *testing.B) {
 func BenchmarkEvaluateTaskComposedUnresolved(b *testing.B) {
 	tr, _ := benchResolvedTrace(b, "minilisp")
 	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+	_ = core.EvaluateTaskUnresolved(tr, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = core.EvaluateTaskUnresolved(tr, p)
+	}
+	reportPerStep(b, tr)
+}
+
+// BenchmarkEvaluateTaskFaulted replays the standard composed predictor
+// under fault injection with every fault kind at rate 1e-1, so the
+// corruption hooks — the PHT and CTTB victim searches among them — run
+// on about one step in ten.
+func BenchmarkEvaluateTaskFaulted(b *testing.B) {
+	tr, _ := benchResolvedTrace(b, "minilisp")
+	fs, err := fault.ParseSpec("all=1e-1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inj, err := fault.New(fs, engine.MustBuild(experiments.StdSpec()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	_ = core.EvaluateTask(tr, inj)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = core.EvaluateTask(tr, inj)
 	}
 	reportPerStep(b, tr)
 }
@@ -327,6 +357,9 @@ func BenchmarkEvaluateExitBlocks(b *testing.B) {
 func BenchmarkEvaluateExitPathBlocks(b *testing.B) {
 	c := benchColumnarTrace(b, "exprc")
 	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
+	if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateExitBlocks(c.Blocks(), p); err != nil {
@@ -414,6 +447,9 @@ func BenchmarkEvaluateTaskBlocks(b *testing.B) {
 func BenchmarkEvaluateExitSpecBlocks(b *testing.B) {
 	c := benchColumnarTrace(b, "exprc")
 	p := engine.MustBuildExit("path:d7-o5-l6-c6-f3:leh2")
+	if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateExitSpecBlocks(c.Blocks(), p, 4); err != nil {
@@ -426,6 +462,9 @@ func BenchmarkEvaluateExitSpecBlocks(b *testing.B) {
 func BenchmarkEvaluateTaskSpecBlocks(b *testing.B) {
 	c := benchColumnarTrace(b, "exprc")
 	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")
+	if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), p, 4); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.EvaluateTaskSpecBlocks(c.Blocks(), p, 4); err != nil {

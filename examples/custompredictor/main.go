@@ -4,8 +4,9 @@
 //
 // Two extensions are shown:
 //
-//  1. a custom Automaton ("first-exit-sticky": never changes its mind —
-//     a deliberately bad idea that quantifies what hysteresis buys), and
+//  1. a custom prediction automaton ("first-exit-sticky": never changes
+//     its mind — a deliberately bad idea that quantifies what hysteresis
+//     buys), kept per context by its own exit predictor, and
 //  2. a custom ExitPredictor (a two-level tournament choosing between a
 //     PATH and a PER component per task — beyond anything in the paper).
 //
@@ -94,10 +95,11 @@ func (t *tournament) Reset() {
 
 func (t *tournament) States() int { return t.path.States() + t.per.States() + len(t.chooser) }
 
-// stickyPath wires the custom automaton into the stock real PATH
-// predictor machinery via a custom AutomatonKind... the kind factory is
-// internal, so instead we show the leaner route: an ExitPredictor that
-// maps ideal path contexts to sticky automata directly.
+// stickyPath gives the custom automaton a predictor of its own. The
+// library's tables store the seven built-in automata of AutomatonKind
+// as packed state words, so a new automaton cannot be plugged into
+// them; an ExitPredictor that maps ideal path contexts to sticky
+// automata is the leaner route.
 type stickyPath struct {
 	depth int
 	hist  core.PathHistory

@@ -6,16 +6,6 @@ import (
 	"multiscalar/internal/tfg"
 )
 
-// Automaton is a multi-way prediction automaton: the per-entry state of a
-// pattern history table, generalizing the 2-bit saturating counter of
-// scalar branch prediction to the up-to-four-way exit choice (§5.1).
-type Automaton interface {
-	// Predict returns the predicted exit number in [0, tfg.MaxExits).
-	Predict() int
-	// Update trains the automaton with the actual exit number.
-	Update(actual int)
-}
-
 // TiePolicy selects how voting-counter automata resolve ties between
 // equally-high counters.
 type TiePolicy uint8
@@ -36,11 +26,12 @@ func (p TiePolicy) String() string {
 }
 
 // AutomatonKind identifies one of the seven automata compared in the
-// paper's Figure 6. It carries the automaton's configuration and defines
-// its semantics once, over a packed state word (see predictState and
-// updateState): the ideal predictors keep that word directly in their
-// context tables, and New builds a heap Automaton that wraps the same
-// functions for the table-of-automata predictors.
+// paper's Figure 6: the multi-way generalization of the 2-bit counter
+// that a pattern history table keeps per entry (§5.1). It carries the
+// automaton's configuration and defines its semantics once, over a
+// packed state word (see predictState and updateState), which every
+// predictor table — the ideal context tables and the realizable flat
+// PHTs alike — stores directly.
 type AutomatonKind struct {
 	name  string
 	class autClass
@@ -62,20 +53,6 @@ const (
 
 // Name returns the kind's display name (e.g. "LEH-2bit", "3bit-VC-MRU").
 func (k AutomatonKind) Name() string { return k.name }
-
-// New creates a fresh automaton of this kind. r supplies randomness for
-// TieRandom voting counters and may be nil for other kinds.
-func (k AutomatonKind) New(r *rng) Automaton {
-	switch k.class {
-	case autLE:
-		le := lastExit(0)
-		return &le
-	case autLEH:
-		return &leh{max: k.max}
-	default:
-		return &votingCounters{max: k.max, tie: k.tie, mru: -1, rng: r}
-	}
-}
 
 // The automata of Figure 6.
 var (
@@ -118,23 +95,14 @@ func AutomatonKindByName(name string) (AutomatonKind, error) {
 	return AutomatonKind{}, fmt.Errorf("core: unknown automaton kind %q", name)
 }
 
-// autState is implemented by every built-in automaton: the complete
-// mutable training state packed into one word, so the speculative-update
-// undo log can checkpoint and restore an automaton without allocation.
-// The pack excludes configuration (max, tie policy, rng pointer) — only
-// what Update mutates. Update never consumes the tie-break RNG (only
-// Predict does, on TieRandom ties), so the RNG stream needs no rollback.
-type autState interface {
-	packState() uint64
-	unpackState(uint64)
-}
-
 // Packed automaton state. Every automaton's complete training state is
 // one word: LE keeps the exit in bits 0–7; LEH adds its hysteresis
 // counter in bits 8–15; voting counters keep counter i in bits 8i..8i+7
 // and the most recently used exit (0xFF before the first update) in bits
 // 32–39. The functions below are the only definition of the §5.1
-// automata; the Automaton types further down are thin wrappers.
+// automata. Update never consumes the tie-break RNG (only a TieRandom
+// prediction does, on a tie), so speculative repair, which restores
+// packed states, needs no RNG rollback.
 
 // vcMRUShift is the bit offset of a voting-counter state's MRU exit.
 const vcMRUShift = 8 * tfg.MaxExits
@@ -244,60 +212,4 @@ func vcUpdate(s uint64, max int8, actual int) uint64 {
 		v |= uint64(uint8(c)) << (8 * uint(i))
 	}
 	return v
-}
-
-// lastExit predicts whatever exit was taken last time (LE).
-type lastExit int8
-
-func (a *lastExit) Predict() int      { return int(*a) }
-func (a *lastExit) Update(actual int) { a.unpackState(packExit(actual)) }
-
-func (a *lastExit) packState() uint64    { return packExit(int(*a)) }
-func (a *lastExit) unpackState(v uint64) { *a = lastExit(lastExitOf(v)) }
-
-// leh is last-exit with hysteresis (LEH); see lehUpdate.
-type leh struct {
-	exit int8
-	ctr  int8
-	max  int8 // counter saturation value: 1 for LEH-1bit, 3 for LEH-2bit
-}
-
-func (a *leh) Predict() int      { return int(a.exit) }
-func (a *leh) Update(actual int) { a.unpackState(lehUpdate(a.packState(), a.max, actual)) }
-
-func (a *leh) packState() uint64 {
-	return uint64(uint8(a.exit)) | uint64(uint8(a.ctr))<<8
-}
-
-func (a *leh) unpackState(v uint64) {
-	a.exit = int8(uint8(v))
-	a.ctr = int8(uint8(v >> 8))
-}
-
-// votingCounters keeps one saturating counter per exit; see vcPredict
-// and vcUpdate.
-type votingCounters struct {
-	ctr [tfg.MaxExits]int8
-	max int8
-	tie TiePolicy
-	mru int8 // most recently used exit; -1 before first update
-	rng *rng
-}
-
-func (a *votingCounters) Predict() int      { return vcPredict(a.packState(), a.tie, a.rng) }
-func (a *votingCounters) Update(actual int) { a.unpackState(vcUpdate(a.packState(), a.max, actual)) }
-
-func (a *votingCounters) packState() uint64 {
-	v := uint64(uint8(a.mru)) << vcMRUShift
-	for i, c := range a.ctr {
-		v |= uint64(uint8(c)) << (8 * uint(i))
-	}
-	return v
-}
-
-func (a *votingCounters) unpackState(v uint64) {
-	for i := range a.ctr {
-		a.ctr[i] = int8(uint8(v >> (8 * uint(i))))
-	}
-	a.mru = int8(uint8(v >> vcMRUShift))
 }

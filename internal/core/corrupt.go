@@ -1,5 +1,7 @@
 package core
 
+import "multiscalar/internal/tfg"
+
 // Fault-injection hooks: controlled, paper-meaningful corruption of
 // predictor state. The Multiscalar sequencer's prediction structures are
 // performance hints, never architectural state — a bit flip in a PHT
@@ -13,67 +15,33 @@ package core
 // returns whether any state was actually corrupted (a predictor that has
 // touched no state yet has nothing to corrupt).
 
-// bitFlipper is implemented by automaton kinds that support single-bit
-// state corruption. All built-in kinds implement it; custom kinds that do
-// not are simply skipped by corruptPHT.
-type bitFlipper interface {
-	flipBit(rnd func(int) int)
-}
-
-// flipBit flips one of the two stored exit-number bits.
-func (a *lastExit) flipBit(rnd func(int) int) {
-	*a = lastExit(int8(*a) ^ int8(1<<rnd(2)))
-}
-
-// flipBit flips a bit of the stored exit (2 bits) or of the hysteresis
-// counter. Counter values stay within [0, max] because max is all-ones
-// for both LEH variants (1 and 3).
-func (a *leh) flipBit(rnd func(int) int) {
-	ctrBits := 1
-	if a.max == 3 {
-		ctrBits = 2
-	}
-	b := rnd(2 + ctrBits)
-	if b < 2 {
-		a.exit ^= 1 << b
-		return
-	}
-	a.ctr ^= 1 << (b - 2)
-}
-
-// flipBit flips a bit of one voting counter. Counter values stay within
-// [0, max] because max is all-ones for both VC variants (3 and 7).
-func (a *votingCounters) flipBit(rnd func(int) int) {
-	ctrBits := 2
-	if a.max == 7 {
-		ctrBits = 3
-	}
-	a.ctr[rnd(len(a.ctr))] ^= 1 << rnd(ctrBits)
-}
-
-// corruptPHT flips a random bit in a random allocated PHT automaton,
-// scanning forward from a random start so sparse tables still find a
-// victim in one call. It reports false when the table holds no corruptible
-// state yet.
-func corruptPHT(pht []Automaton, rnd func(int) int) bool {
-	n := len(pht)
-	if n == 0 {
-		return false
-	}
-	start := rnd(n)
-	for i := 0; i < n; i++ {
-		a := pht[(start+i)%n]
-		if a == nil {
-			continue
+// flipState returns automaton state s with one stored bit inverted: a
+// bit of the last exit (2 bits) or of the LEH hysteresis counter, or a
+// bit of one voting counter. Counter values stay within [0, max] because
+// every kind's max is all-ones (1, 3 or 7). The rnd draws are, in order:
+// the bit (LE, LEH), or the counter and then its bit (voting counters).
+func (k *AutomatonKind) flipState(s uint64, rnd func(int) int) uint64 {
+	switch k.class {
+	case autLE:
+		return s ^ 1<<rnd(2)
+	case autLEH:
+		ctrBits := 1
+		if k.max == 3 {
+			ctrBits = 2
 		}
-		f, ok := a.(bitFlipper)
-		if !ok {
-			return false
+		b := rnd(2 + ctrBits)
+		if b < 2 {
+			return s ^ 1<<b
 		}
-		f.flipBit(rnd)
-		return true
+		return s ^ 1<<(8+b-2)
+	default:
+		ctrBits := 2
+		if k.max == 7 {
+			ctrBits = 3
+		}
+		i := rnd(tfg.MaxExits)
+		return s ^ 1<<(8*i+rnd(ctrBits))
 	}
-	return false
 }
 
 // FlipBit corrupts the path history register: one of the pathKeyBits
@@ -86,19 +54,19 @@ func (h *PathHistory) FlipBit(rnd func(int) int) {
 // CorruptCounter implements the fault layer's counter-corruption hook:
 // a single bit flip in one allocated PHT automaton.
 func (p *PathExit) CorruptCounter(rnd func(int) int) bool {
-	return corruptPHT(p.pht, rnd)
+	return p.pht.corrupt(&p.kind, rnd)
 }
 
 // CorruptHistory implements the fault layer's history-corruption hook:
 // a single bit flip in the path history register.
 func (p *PathExit) CorruptHistory(rnd func(int) int) bool {
-	p.hist.FlipBit(rnd)
+	p.path.flipBit(rnd)
 	return true
 }
 
 // CorruptCounter flips a bit in one allocated PHT automaton.
 func (p *GlobalExit) CorruptCounter(rnd func(int) int) bool {
-	return corruptPHT(p.pht, rnd)
+	return p.pht.corrupt(&p.kind, rnd)
 }
 
 // CorruptHistory flips one bit of the global exit history register (a
@@ -113,7 +81,7 @@ func (p *GlobalExit) CorruptHistory(rnd func(int) int) bool {
 
 // CorruptCounter flips a bit in one allocated PHT automaton.
 func (p *PerExit) CorruptCounter(rnd func(int) int) bool {
-	return corruptPHT(p.pht, rnd)
+	return p.pht.corrupt(&p.kind, rnd)
 }
 
 // CorruptHistory flips one bit of a random per-task history register.
@@ -130,32 +98,25 @@ func (p *PerExit) CorruptHistory(rnd func(int) int) bool {
 // index, and the upset either flips a target address bit, decays the
 // hysteresis counter to zero, or invalidates the entry outright.
 func (b *CTTB) CorruptEntry(rnd func(int) int) bool {
-	n := len(b.entries)
-	if n == 0 {
+	i, ok := b.valid.next(rnd(len(b.entries)))
+	if !ok {
 		return false
 	}
-	start := rnd(n)
-	for i := 0; i < n; i++ {
-		e := &b.entries[(start+i)%n]
-		if !e.valid {
-			continue
-		}
-		switch rnd(3) {
-		case 0:
-			e.target ^= 1 << rnd(pathKeyBits)
-		case 1:
-			e.ctr = 0
-		default:
-			*e = ttbEntry{}
-		}
-		return true
+	switch rnd(3) {
+	case 0:
+		b.entries[i] ^= 1 << rnd(pathKeyBits)
+	case 1:
+		b.entries[i] &^= ttbCtrMask
+	default:
+		b.entries[i] = 0
+		b.valid.unset(uint32(i))
 	}
-	return false
+	return true
 }
 
 // CorruptHistory flips one bit of the buffer's path history register.
 func (b *CTTB) CorruptHistory(rnd func(int) int) bool {
-	b.hist.FlipBit(rnd)
+	b.path.flipBit(rnd)
 	return true
 }
 

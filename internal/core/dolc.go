@@ -79,11 +79,9 @@ func (d DOLC) Validate() error {
 	if d.IndexBits() > 30 {
 		return fmt.Errorf("core: DOLC %v: index of %d bits is unreasonably large", d, d.IndexBits())
 	}
-	if d.Depth >= 2 && d.Older == 0 && d.Depth > 1 {
-		// Legal but pointless: older tasks contribute nothing. Allowed —
-		// the paper's 1-0-7-7(1) point has O=0 at D=1.
-		_ = d
-	}
+	// O=0 at D>=2 is legal but pointless (older tasks contribute
+	// nothing); it stays allowed, like the paper's 1-0-7-7(1) point,
+	// which has O=0 at D=1.
 	return nil
 }
 
@@ -117,6 +115,157 @@ func (d DOLC) Index(h *PathHistory, current isa.Addr) uint32 {
 		v >>= uint(bits)
 	}
 	return uint32(folded)
+}
+
+// dolcPath is a path history register together with its DOLC index
+// kept as a derived folded register, so an index costs one XOR with the
+// current task's bits instead of a walk over the register (§6.2's fold
+// is linear: every history position contributes its own folded term).
+//
+// The ring is the state; old and reg are derived from it. An eager
+// register (PathExit, which indexes on nearly every step) is updated by
+// push in O(1): an address field that fits the index width folds to a
+// rotation of itself, and the terms of positions 2..D-1 all move one
+// position older, which in the folded domain is a rotation by O bits.
+// So push removes the term leaving position D, rotates, and adds the
+// term of the address moving from position 1 to 2. Anything else that
+// changes the ring — a corruption bit flip, a speculative undo — marks
+// the register stale, and the next index rebuilds it from the ring. A
+// lazy register (the CTTB, which indexes only on tasks that take an
+// indirect exit, a small fraction of them) lets every push mark it
+// stale instead. The rotation
+// identities need fields no wider than the index and the whole
+// intermediate index inside one uint64 (DOLC.Index truncates longer
+// ones); configurations outside that, none of them the paper's, are
+// always rebuilt by folding.
+type dolcPath struct {
+	hist  PathHistory
+	dolc  DOLC
+	old   uint64 // fold of positions 2..D
+	reg   uint64 // old ^ fold of position 1: the index less the current task
+	stale bool   // old and reg lag the ring; index rebuilds them
+	eager bool   // push updates old and reg: an eager owner, D >= 1 and rotates
+
+	bits                uint   // index width
+	mask                uint64 // index mask
+	cMask, lMask, oMask uint64 // C, L and O bit fields of an address
+	rotates             bool   // fields fold by rotation (see above)
+	backD               int    // ring offset from position 1 to position D
+	// Rotation amounts: O, and the intermediate offsets of positions 1,
+	// 2 and D, all modulo the index width.
+	rotO, rot1, rot2, rotD uint
+}
+
+func newDolcPath(d DOLC, eager bool) dolcPath {
+	p := dolcPath{
+		dolc:  d,
+		bits:  uint(d.IndexBits()),
+		cMask: uint64(1)<<uint(d.Current) - 1,
+		lMask: uint64(1)<<uint(d.Last) - 1,
+		oMask: uint64(1)<<uint(d.Older) - 1,
+	}
+	p.mask = uint64(1)<<p.bits - 1
+	p.rotates = d.IntermediateBits() <= 64 && uint(d.Last) <= p.bits && uint(d.Older) <= p.bits
+	p.eager = eager && p.rotates && d.Depth >= 1
+	p.backD = len(p.hist.ring) - d.Depth + 1
+	p.rotO = uint(d.Older) % p.bits
+	p.rot1 = uint(d.Current) % p.bits
+	p.rot2 = uint(d.Current+d.Last) % p.bits
+	if d.Depth >= 2 {
+		p.rotD = uint(d.Current+d.Last+(d.Depth-2)*d.Older) % p.bits
+	}
+	return p
+}
+
+// fold XORs v's index-width fields together (Figure 9's F-way fold).
+func (p *dolcPath) fold(v uint64) uint64 {
+	r := v & p.mask
+	for v >>= p.bits; v != 0; v >>= p.bits {
+		r ^= v & p.mask
+	}
+	return r
+}
+
+// rot rotates x, a value within the index width, left by r < bits. (The
+// &63 spares the compiler's oversized-shift handling: both counts are
+// below 64.)
+func (p *dolcPath) rot(x uint64, r uint) uint64 {
+	return (x<<(r&63) | x>>((p.bits-r)&63)) & p.mask
+}
+
+// index returns DOLC.Index(&p.hist, current).
+func (p *dolcPath) index(current isa.Addr) uint32 {
+	if p.stale {
+		p.rebuild()
+	}
+	return uint32(p.reg ^ p.fold(uint64(current)&p.cMask))
+}
+
+// push shifts a task address into the register (PathHistory.Push).
+func (p *dolcPath) push(addr isa.Addr) {
+	h := &p.hist
+	if p.stale || !p.eager {
+		h.Push(addr)
+		p.stale = true
+		return
+	}
+	if p.dolc.Depth >= 2 {
+		od := h.head + p.backD
+		if od >= len(h.ring) {
+			od -= len(h.ring)
+		}
+		out := p.rot(uint64(h.ring[od])&p.oMask, p.rotD)
+		in := p.rot(uint64(h.ring[h.head])&p.oMask, p.rot2)
+		p.old = p.rot(p.old^out, p.rotO) ^ in
+	}
+	h.Push(addr)
+	p.reg = p.old ^ p.rot(uint64(addr)&p.lMask, p.rot1)
+}
+
+// rebuild recomputes the derived register from the ring.
+func (p *dolcPath) rebuild() {
+	d := p.dolc
+	p.old, p.reg, p.stale = 0, 0, false
+	if d.Depth == 0 {
+		return
+	}
+	off, r := uint(d.Current+d.Last), p.rot2 // position 2's offset
+	for j := 2; j <= d.Depth; j++ {
+		x := uint64(p.hist.At(j)) & p.oMask
+		if p.rotates {
+			p.old ^= p.rot(x, r)
+			if r += p.rotO; r >= p.bits {
+				r -= p.bits
+			}
+		} else {
+			p.old ^= p.fold(x << off)
+			off += uint(d.Older)
+		}
+	}
+	x := uint64(p.hist.At(1)) & p.lMask
+	if p.rotates {
+		p.reg = p.old ^ p.rot(x, p.rot1)
+	} else {
+		p.reg = p.old ^ p.fold(x<<uint(d.Current))
+	}
+}
+
+// reset clears the register.
+func (p *dolcPath) reset() {
+	p.hist.Reset()
+	p.old, p.reg, p.stale = 0, 0, false
+}
+
+// flipBit corrupts the ring (PathHistory.FlipBit).
+func (p *dolcPath) flipBit(rnd func(int) int) {
+	p.hist.FlipBit(rnd)
+	p.stale = true
+}
+
+// undoPush reverses one logged push (see logPathHist).
+func (p *dolcPath) undoPush(e *specUndo) {
+	undoPathHistApply(&p.hist, e)
+	p.stale = true
 }
 
 // ParseDOLC parses a configuration written as "D-O-L-C-F" (five

@@ -191,10 +191,12 @@ func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, err
 // predictor: the block loop inlines PredictExit/UpdateExit (same
 // automaton, history and pending-train sequence — single-exit skip,
 // clamping and training latency included) with the task header fields
-// read from the block dictionary instead of chased through *tfg.Task.
+// read from the block dictionary instead of chased through *tfg.Task,
+// and one DOLC index and PHT read shared by prediction and training.
 func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 	entries := blk.Dict.Entries
 	taskIdx, exits := blk.TaskIdx, blk.Exits
+	init := p.kind.initState()
 	for i := 0; i < blk.N; i++ {
 		e := exits[i]
 		if e == trace.HaltExit {
@@ -210,19 +212,70 @@ func (p *PathExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 				misses++
 			}
 		} else {
-			pred := clampExitN(p.slotAt(p.dolc.Index(&p.hist, ent.Addr)).Predict(), int(ent.NumExits))
-			if pred != int(e) {
+			idx := p.path.index(ent.Addr)
+			s := p.pht.at(idx, init)
+			if clampExitN(p.kind.predictState(s, &p.rng), int(ent.NumExits)) != int(e) {
 				misses++
 			}
 			if p.opts.TrainLatency == 0 {
-				p.slotAt(p.dolc.Index(&p.hist, ent.Addr)).Update(int(e))
+				p.pht.words[idx] = p.kind.updateState(s, int(e))
 			} else {
-				p.pendPush(p.dolc.Index(&p.hist, ent.Addr), int(e))
+				p.pendPush(idx, int(e))
 			}
 		}
 		if !(p.opts.SkipSingleExitHistory && single) {
-			p.hist.Push(ent.Addr)
+			p.path.push(ent.Addr)
 		}
+	}
+	return steps, misses
+}
+
+// ReplayExitBlock implements ExitBlockReplayer for the real GLOBAL
+// predictor: one index and one PHT read per step, shared by prediction
+// and training.
+func (p *GlobalExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	taskIdx, exits := blk.TaskIdx, blk.Exits
+	init := p.kind.initState()
+	for i := 0; i < blk.N; i++ {
+		e := exits[i]
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		steps++
+		idx := p.index(ent.Addr)
+		s := p.pht.at(idx, init)
+		if clampExitN(p.kind.predictState(s, &p.rng), int(ent.NumExits)) != int(e) {
+			misses++
+		}
+		p.pht.words[idx] = p.kind.updateState(s, int(e))
+		p.hist = p.hist.Push(int(e), p.depth)
+	}
+	return steps, misses
+}
+
+// ReplayExitBlock implements ExitBlockReplayer for the real PER
+// predictor, fused like GlobalExit's.
+func (p *PerExit) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	taskIdx, exits := blk.TaskIdx, blk.Exits
+	init := p.kind.initState()
+	for i := 0; i < blk.N; i++ {
+		e := exits[i]
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		steps++
+		h := p.hrtIndex(ent.Addr)
+		idx := p.phtIndex(ent.Addr, p.hrt[h])
+		s := p.pht.at(idx, init)
+		if clampExitN(p.kind.predictState(s, &p.rng), int(ent.NumExits)) != int(e) {
+			misses++
+		}
+		p.pht.words[idx] = p.kind.updateState(s, int(e))
+		p.hrt[h] = p.hrt[h].Push(int(e), p.depth)
 	}
 	return steps, misses
 }

@@ -42,7 +42,7 @@ func checkIdealDepth(name string, depth int) {
 type IdealGlobal struct {
 	depth int
 	kind  AutomatonKind
-	rng   *rng
+	rng   rng
 	hist  ExitHistory
 	table ctxTable
 	undo  undoRing
@@ -72,14 +72,14 @@ func (p *IdealGlobal) Reset() {
 	p.hist = 0
 	p.table.reset()
 	p.undo.reset()
-	p.rng = newRNG(1)
+	p.rng.seed(1)
 }
 
 // PredictExit implements ExitPredictor.
 func (p *IdealGlobal) PredictExit(t *tfg.Task) int {
 	k := exitCtxKey(t.Start, p.hist)
 	i, _ := p.table.upsert(&k, p.kind.initState())
-	return clampExit(p.kind.predictState(p.table.state(i), p.rng), t)
+	return clampExit(p.kind.predictState(p.table.state(i), &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -112,7 +112,7 @@ func (p *IdealGlobal) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 		i, _ := p.table.upsert(&k, init)
 		s := p.table.state(i)
 		steps++
-		if clampExitN(p.kind.predictState(s, p.rng), int(ent.NumExits)) != int(e) {
+		if clampExitN(p.kind.predictState(s, &p.rng), int(ent.NumExits)) != int(e) {
 			misses++
 		}
 		p.table.setState(i, p.kind.updateState(s, int(e)))
@@ -129,7 +129,7 @@ func (p *IdealGlobal) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 type IdealPer struct {
 	depth int
 	kind  AutomatonKind
-	rng   *rng
+	rng   rng
 	hists ctxTable
 	table ctxTable
 	undo  undoRing
@@ -153,7 +153,7 @@ func (p *IdealPer) Reset() {
 	p.hists.reset()
 	p.table.reset()
 	p.undo.reset()
-	p.rng = newRNG(2)
+	p.rng.seed(2)
 }
 
 // hist returns addr's history register.
@@ -176,7 +176,7 @@ func (p *IdealPer) setHist(addr isa.Addr, h ExitHistory) {
 func (p *IdealPer) PredictExit(t *tfg.Task) int {
 	k := exitCtxKey(t.Start, p.hist(t.Start))
 	i, _ := p.table.upsert(&k, p.kind.initState())
-	return clampExit(p.kind.predictState(p.table.state(i), p.rng), t)
+	return clampExit(p.kind.predictState(p.table.state(i), &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -213,7 +213,7 @@ func (p *IdealPer) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 		i, _ := p.table.upsert(&k, init)
 		s := p.table.state(i)
 		steps++
-		if clampExitN(p.kind.predictState(s, p.rng), int(ent.NumExits)) != int(e) {
+		if clampExitN(p.kind.predictState(s, &p.rng), int(ent.NumExits)) != int(e) {
 			misses++
 		}
 		p.table.setState(i, p.kind.updateState(s, int(e)))
@@ -228,7 +228,7 @@ func (p *IdealPer) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 type IdealPath struct {
 	depth int
 	kind  AutomatonKind
-	rng   *rng
+	rng   rng
 	reg   pathReg
 	table ctxTable
 	undo  undoRing
@@ -252,14 +252,14 @@ func (p *IdealPath) Reset() {
 	p.reg.reset()
 	p.table.reset()
 	p.undo.reset()
-	p.rng = newRNG(3)
+	p.rng.seed(3)
 }
 
 // PredictExit implements ExitPredictor.
 func (p *IdealPath) PredictExit(t *tfg.Task) int {
 	k := p.reg.key(t.Start)
 	i, _ := p.table.upsert(&k, p.kind.initState())
-	return clampExit(p.kind.predictState(p.table.state(i), p.rng), t)
+	return clampExit(p.kind.predictState(p.table.state(i), &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -292,7 +292,7 @@ func (p *IdealPath) ReplayExitBlock(blk *trace.Block) (steps, misses int) {
 		i, _ := p.table.upsert(&k, init)
 		s := p.table.state(i)
 		steps++
-		if clampExitN(p.kind.predictState(s, p.rng), int(ent.NumExits)) != int(e) {
+		if clampExitN(p.kind.predictState(s, &p.rng), int(ent.NumExits)) != int(e) {
 			misses++
 		}
 		p.table.setState(i, p.kind.updateState(s, int(e)))

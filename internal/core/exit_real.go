@@ -33,15 +33,14 @@ type PathExitOptions struct {
 // history table of automata indexed by the DOLC fold of the path history
 // and current task address.
 type PathExit struct {
-	dolc DOLC
+	name string // built once: replay calls Name every run
 	kind AutomatonKind
 	opts PathExitOptions
-	rng  *rng
+	rng  rng
 
-	hist    PathHistory
-	pht     []Automaton
-	touched int
-	undo    undoRing
+	path dolcPath
+	pht  flatPHT
+	undo undoRing
 
 	// Pending automaton updates when TrainLatency > 0, kept in a
 	// fixed-size ring (head index + live count) so a full FIFO costs
@@ -68,11 +67,12 @@ func NewPathExit(d DOLC, kind AutomatonKind, opts PathExitOptions) (*PathExit, e
 		return nil, fmt.Errorf("core: negative TrainLatency %d", opts.TrainLatency)
 	}
 	p := &PathExit{
-		dolc: d,
+		name: fmt.Sprintf("PATH-real(%v,%s)", d, kind.Name()),
 		kind: kind,
 		opts: opts,
 		rng:  newRNG(opts.Seed + 0x5f0d),
-		pht:  make([]Automaton, d.TableSize()),
+		path: newDolcPath(d, true),
+		pht:  newFlatPHT(d.TableSize()),
 	}
 	if opts.TrainLatency > 0 {
 		p.pending = make([]pendingTrain, opts.TrainLatency+1)
@@ -92,28 +92,25 @@ func MustPathExit(d DOLC, kind AutomatonKind, opts PathExitOptions) *PathExit {
 }
 
 // Name implements ExitPredictor.
-func (p *PathExit) Name() string {
-	return fmt.Sprintf("PATH-real(%v,%s)", p.dolc, p.kind.Name())
-}
+func (p *PathExit) Name() string { return p.name }
 
 // DOLC returns the predictor's index configuration.
-func (p *PathExit) DOLC() DOLC { return p.dolc }
+func (p *PathExit) DOLC() DOLC { return p.path.dolc }
 
 // SizeBits returns the PHT storage in bits (entries × automaton width).
-func (p *PathExit) SizeBits() int { return p.dolc.TableSize() * p.kind.Bits }
+func (p *PathExit) SizeBits() int { return p.path.dolc.TableSize() * p.kind.Bits }
 
 // States implements ExitPredictor: the number of distinct PHT entries
 // touched (Figure 11's "real implementation" series).
-func (p *PathExit) States() int { return p.touched }
+func (p *PathExit) States() int { return p.pht.n }
 
 // Reset implements ExitPredictor.
 func (p *PathExit) Reset() {
-	p.hist.Reset()
-	clear(p.pht)
-	p.touched = 0
+	p.path.reset()
+	p.pht.reset()
 	p.pendHead, p.pendN = 0, 0
 	p.undo.reset()
-	p.rng = newRNG(p.opts.Seed + 0x5f0d)
+	p.rng.seed(p.opts.Seed + 0x5f0d)
 }
 
 // specErr reports why this predictor cannot run under speculative
@@ -127,30 +124,22 @@ func (p *PathExit) specErr() error {
 	return nil
 }
 
-func (p *PathExit) slotAt(idx uint32) Automaton {
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-	}
-	return a
-}
-
-func (p *PathExit) slot(t *tfg.Task) Automaton {
-	return p.slotAt(p.dolc.Index(&p.hist, t.Start))
-}
-
 // PredictExit implements ExitPredictor.
 func (p *PathExit) PredictExit(t *tfg.Task) int {
 	if p.opts.SkipSingleExit && t.SingleExit() {
 		return 0
 	}
-	return clampExit(p.slot(t).Predict(), t)
+	s := p.pht.at(p.path.index(t.Start), p.kind.initState())
+	return clampExit(p.kind.predictState(s, &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
 func (p *PathExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
+
+// train trains PHT entry idx with the actual exit.
+func (p *PathExit) train(idx uint32, exit int) {
+	p.pht.words[idx] = p.kind.updateState(p.pht.at(idx, p.kind.initState()), exit)
+}
 
 // pendPush enqueues a delayed automaton update and, once the FIFO holds
 // more than TrainLatency entries, trains the oldest — the same order as
@@ -169,7 +158,7 @@ func (p *PathExit) pendPush(idx uint32, exit int) {
 			p.pendHead = 0
 		}
 		p.pendN--
-		p.slotAt(u.idx).Update(int(u.exit))
+		p.train(u.idx, int(u.exit))
 	}
 }
 
@@ -179,33 +168,24 @@ func (p *PathExit) pendPush(idx uint32, exit int) {
 func (p *PathExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
 	single := t.SingleExit()
 	if !(p.opts.SkipSingleExit && single) {
-		if p.opts.TrainLatency == 0 {
-			idx := p.dolc.Index(&p.hist, t.Start)
-			a := p.pht[idx]
-			if a == nil {
-				a = p.kind.New(p.rng)
-				p.pht[idx] = a
-				p.touched++
-				if log != nil {
-					log.push(specUndo{kind: undoAutCreate, idx: idx})
-				}
-			}
-			if log != nil {
-				log.push(specUndo{kind: undoAutState, idx: idx, prev: a.(autState).packState()})
-			}
-			a.Update(exit)
-		} else {
+		idx := p.path.index(t.Start)
+		if p.opts.TrainLatency > 0 {
 			// Capture the context index now; train once the outcome has
 			// "travelled back" TrainLatency tasks later. (log is always
 			// nil here: specErr refuses TrainLatency under speculation.)
-			p.pendPush(p.dolc.Index(&p.hist, t.Start), exit)
+			p.pendPush(idx, exit)
+		} else {
+			if log != nil {
+				p.pht.logUpdate(log, idx, p.kind.initState())
+			}
+			p.train(idx, exit)
 		}
 	}
 	if !(p.opts.SkipSingleExitHistory && single) {
 		if log != nil {
-			logPathHist(log, &p.hist)
+			logPathHist(log, &p.path.hist)
 		}
-		p.hist.Push(t.Start)
+		p.path.push(t.Start)
 	}
 }
 
@@ -218,12 +198,11 @@ type GlobalExit struct {
 	current   int // bits of the current task address
 	indexBits int
 	kind      AutomatonKind
-	rng       *rng
+	rng       rng
 
-	hist    ExitHistory
-	pht     []Automaton
-	touched int
-	undo    undoRing
+	hist ExitHistory
+	pht  flatPHT
+	undo undoRing
 }
 
 // NewGlobalExit builds a real GLOBAL exit predictor: depth 2-bit exit
@@ -239,7 +218,7 @@ func NewGlobalExit(depth, currentBits, indexBits int, kind AutomatonKind) (*Glob
 	return &GlobalExit{
 		depth: depth, current: currentBits, indexBits: indexBits,
 		kind: kind, rng: newRNG(11),
-		pht: make([]Automaton, 1<<uint(indexBits)),
+		pht: newFlatPHT(1 << uint(indexBits)),
 	}, nil
 }
 
@@ -249,15 +228,14 @@ func (p *GlobalExit) Name() string {
 }
 
 // States implements ExitPredictor.
-func (p *GlobalExit) States() int { return p.touched }
+func (p *GlobalExit) States() int { return p.pht.n }
 
 // Reset implements ExitPredictor.
 func (p *GlobalExit) Reset() {
 	p.hist = 0
-	clear(p.pht)
-	p.touched = 0
+	p.pht.reset()
 	p.undo.reset()
-	p.rng = newRNG(11)
+	p.rng.seed(11)
 }
 
 func (p *GlobalExit) index(addr isa.Addr) uint32 {
@@ -271,20 +249,10 @@ func (p *GlobalExit) index(addr isa.Addr) uint32 {
 	return uint32(folded)
 }
 
-func (p *GlobalExit) slot(t *tfg.Task) Automaton {
-	idx := p.index(t.Start)
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-	}
-	return a
-}
-
 // PredictExit implements ExitPredictor.
 func (p *GlobalExit) PredictExit(t *tfg.Task) int {
-	return clampExit(p.slot(t).Predict(), t)
+	s := p.pht.at(p.index(t.Start), p.kind.initState())
+	return clampExit(p.kind.predictState(s, &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -292,20 +260,12 @@ func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, n
 
 func (p *GlobalExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
 	idx := p.index(t.Start)
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-		if log != nil {
-			log.push(specUndo{kind: undoAutCreate, idx: idx})
-		}
-	}
+	init := p.kind.initState()
 	if log != nil {
-		log.push(specUndo{kind: undoAutState, idx: idx, prev: a.(autState).packState()})
+		p.pht.logUpdate(log, idx, init)
 		log.push(specUndo{kind: undoExitHist, prev: uint64(p.hist)})
 	}
-	a.Update(exit)
+	p.pht.words[idx] = p.kind.updateState(p.pht.at(idx, init), exit)
 	p.hist = p.hist.Push(exit, p.depth)
 }
 
@@ -319,12 +279,11 @@ type PerExit struct {
 	taskBits  int // task address bits mixed into the PHT index
 	indexBits int
 	kind      AutomatonKind
-	rng       *rng
+	rng       rng
 
-	hrt     []ExitHistory
-	pht     []Automaton
-	touched int
-	undo    undoRing
+	hrt  []ExitHistory
+	pht  flatPHT
+	undo undoRing
 }
 
 // NewPerExit builds a real PER exit predictor.
@@ -339,7 +298,7 @@ func NewPerExit(depth, hrtBits, taskBits, indexBits int, kind AutomatonKind) (*P
 		depth: depth, hrtBits: hrtBits, taskBits: taskBits, indexBits: indexBits,
 		kind: kind, rng: newRNG(13),
 		hrt: make([]ExitHistory, 1<<uint(hrtBits)),
-		pht: make([]Automaton, 1<<uint(indexBits)),
+		pht: newFlatPHT(1 << uint(indexBits)),
 	}, nil
 }
 
@@ -349,15 +308,14 @@ func (p *PerExit) Name() string {
 }
 
 // States implements ExitPredictor.
-func (p *PerExit) States() int { return p.touched }
+func (p *PerExit) States() int { return p.pht.n }
 
 // Reset implements ExitPredictor.
 func (p *PerExit) Reset() {
 	clear(p.hrt)
-	clear(p.pht)
-	p.touched = 0
+	p.pht.reset()
 	p.undo.reset()
-	p.rng = newRNG(13)
+	p.rng.seed(13)
 }
 
 func (p *PerExit) hrtIndex(addr isa.Addr) uint32 {
@@ -375,41 +333,23 @@ func (p *PerExit) phtIndex(addr isa.Addr, hist ExitHistory) uint32 {
 	return uint32(folded)
 }
 
-func (p *PerExit) slot(t *tfg.Task) Automaton {
-	idx := p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)])
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-	}
-	return a
-}
-
 // PredictExit implements ExitPredictor.
 func (p *PerExit) PredictExit(t *tfg.Task) int {
-	return clampExit(p.slot(t).Predict(), t)
+	s := p.pht.at(p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)]), p.kind.initState())
+	return clampExit(p.kind.predictState(s, &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
 func (p *PerExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
 
 func (p *PerExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	idx := p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)])
-	a := p.pht[idx]
-	if a == nil {
-		a = p.kind.New(p.rng)
-		p.pht[idx] = a
-		p.touched++
-		if log != nil {
-			log.push(specUndo{kind: undoAutCreate, idx: idx})
-		}
-	}
 	h := p.hrtIndex(t.Start)
+	idx := p.phtIndex(t.Start, p.hrt[h])
+	init := p.kind.initState()
 	if log != nil {
-		log.push(specUndo{kind: undoAutState, idx: idx, prev: a.(autState).packState()})
+		p.pht.logUpdate(log, idx, init)
 		log.push(specUndo{kind: undoHRT, idx: h, prev: uint64(p.hrt[h])})
 	}
-	a.Update(exit)
+	p.pht.words[idx] = p.kind.updateState(p.pht.at(idx, init), exit)
 	p.hrt[h] = p.hrt[h].Push(exit, p.depth)
 }

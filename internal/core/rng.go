@@ -6,13 +6,20 @@ package core
 // reproducible.
 type rng struct{ state uint32 }
 
-// newRNG returns a generator seeded with seed (0 is replaced by a fixed
+// newRNG returns a generator seeded with seed.
+func newRNG(seed uint32) rng {
+	var r rng
+	r.seed(seed)
+	return r
+}
+
+// seed restarts the generator in place (0 is replaced by a fixed
 // non-zero constant, since xorshift has an all-zero fixed point).
-func newRNG(seed uint32) *rng {
+func (r *rng) seed(seed uint32) {
 	if seed == 0 {
 		seed = 0x9e3779b9
 	}
-	return &rng{state: seed}
+	r.state = seed
 }
 
 // next returns the next 32-bit pseudo-random value.

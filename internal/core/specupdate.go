@@ -93,7 +93,7 @@ type SpecTaskPredictor interface {
 // applyUndo; kinds are shared so the ring stays one flat struct type.
 const (
 	undoAutState  uint8 = iota // pht[idx]: restore packed automaton state
-	undoAutCreate              // pht[idx]: entry was created by this update — remove
+	undoAutCreate              // pht[idx]: entry was allocated by this update — free
 	undoPathHist               // PathHistory: restore overwritten slot + head
 	undoExitHist               // ExitHistory register: restore prev word
 	undoHRT                    // PerExit hrt[idx]: restore prev word
@@ -230,13 +230,10 @@ func (p *PathExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *PathExit) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoAutState:
-		p.pht[e.idx].(autState).unpackState(e.prev)
-	case undoAutCreate:
-		p.pht[e.idx] = nil
-		p.touched--
+	case undoAutState, undoAutCreate:
+		p.pht.applyUndo(e)
 	case undoPathHist:
-		undoPathHistApply(&p.hist, e)
+		p.path.undoPush(e)
 	}
 }
 
@@ -256,11 +253,8 @@ func (p *GlobalExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *GlobalExit) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoAutState:
-		p.pht[e.idx].(autState).unpackState(e.prev)
-	case undoAutCreate:
-		p.pht[e.idx] = nil
-		p.touched--
+	case undoAutState, undoAutCreate:
+		p.pht.applyUndo(e)
 	case undoExitHist:
 		p.hist = ExitHistory(e.prev)
 	}
@@ -282,11 +276,8 @@ func (p *PerExit) CommitExit(m SpecMark) { p.undo.commitTo(m) }
 
 func (p *PerExit) applyUndo(e *specUndo) {
 	switch e.kind {
-	case undoAutState:
-		p.pht[e.idx].(autState).unpackState(e.prev)
-	case undoAutCreate:
-		p.pht[e.idx] = nil
-		p.touched--
+	case undoAutState, undoAutCreate:
+		p.pht.applyUndo(e)
 	case undoHRT:
 		p.hrt[e.idx] = ExitHistory(e.prev)
 	}
@@ -365,8 +356,8 @@ func (b *CTTB) SpecTrain(current, target isa.Addr) { b.train(current, target, &b
 
 // SpecAdvance implements SpecTargetBuffer.
 func (b *CTTB) SpecAdvance(current isa.Addr) {
-	logPathHist(&b.undo, &b.hist)
-	b.hist.Push(current)
+	logPathHist(&b.undo, &b.path.hist)
+	b.path.push(current)
 }
 
 // MarkTarget implements SpecTargetBuffer.
@@ -381,14 +372,18 @@ func (b *CTTB) CommitTarget(m SpecMark) { b.undo.commitTo(m) }
 func (b *CTTB) applyUndo(e *specUndo) {
 	switch e.kind {
 	case undoTTBEntry:
-		ent := &b.entries[e.idx]
-		wasValid := ent.valid
-		unpackTTBEntry(ent, e.prev)
-		if wasValid && !ent.valid {
-			b.touched--
+		wasValid := b.entries[e.idx]&ttbValid != 0
+		b.entries[e.idx] = e.prev
+		if e.prev&ttbValid != 0 {
+			b.valid.set(e.idx)
+		} else {
+			b.valid.unset(e.idx)
+			if wasValid {
+				b.touched--
+			}
 		}
 	case undoPathHist:
-		undoPathHistApply(&b.hist, e)
+		b.path.undoPush(e)
 	}
 }
 

@@ -35,32 +35,16 @@ type TargetBuffer interface {
 	States() int
 }
 
-// ttbEntry is one target buffer entry: a target address with an LEH-style
-// 2-bit hysteresis counter (the entry's target is replaced only when the
-// counter has decayed to zero and the entry misses again). Packed, it is
-// the target in bits 0–31, the counter in bits 32–39 and the valid flag
-// in bit 40; ttbTrain defines the training rule over that word.
-type ttbEntry struct {
-	target isa.Addr
-	ctr    int8
-	valid  bool
-}
-
-const ttbValid = 1 << 40
-
-func packTTBEntry(e *ttbEntry) uint64 {
-	v := uint64(uint32(e.target)) | uint64(uint8(e.ctr))<<32
-	if e.valid {
-		v |= ttbValid
-	}
-	return v
-}
-
-func unpackTTBEntry(e *ttbEntry, v uint64) {
-	e.target = isa.Addr(uint32(v))
-	e.ctr = int8(uint8(v >> 32))
-	e.valid = v&ttbValid != 0
-}
+// A target buffer entry is a target address with an LEH-style 2-bit
+// hysteresis counter (the entry's target is replaced only when the
+// counter has decayed to zero and the entry misses again), packed into
+// one word: the target in bits 0–31, the counter in bits 32–39 and the
+// valid flag in bit 40. ttbTrain defines the training rule over that
+// word; the zero word is an invalid entry.
+const (
+	ttbCtrMask = 0xFF << 32
+	ttbValid   = 1 << 40
+)
 
 // ttbTrain returns packed entry v trained toward the actual target.
 func ttbTrain(v uint64, actual isa.Addr) uint64 {
@@ -84,18 +68,15 @@ func ttbLookup(v uint64) (isa.Addr, bool) {
 	return isa.Addr(uint32(v)), v&ttbValid != 0
 }
 
-func (e *ttbEntry) train(actual isa.Addr) { unpackTTBEntry(e, ttbTrain(packTTBEntry(e), actual)) }
-
 // CTTB is the real Correlated Task Target Buffer: a direct-mapped table
 // of target entries indexed by the same DOLC fold of path history and
 // current task address as the path-based exit predictor (§5.3). With
 // Depth=0 the index degenerates to current-task bits only, which is
 // exactly the naive TTB the paper shows to perform poorly.
 type CTTB struct {
-	dolc DOLC
-
-	hist    PathHistory
-	entries []ttbEntry
+	path    dolcPath
+	entries []uint64 // packed entries
+	valid   liveSet  // mirrors each entry's ttbValid bit
 	touched int
 	undo    undoRing
 }
@@ -106,7 +87,8 @@ func NewCTTB(d DOLC) (*CTTB, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	return &CTTB{dolc: d, entries: make([]ttbEntry, d.TableSize())}, nil
+	n := d.TableSize()
+	return &CTTB{path: newDolcPath(d, false), entries: make([]uint64, n), valid: newLiveSet(n)}, nil
 }
 
 // MustCTTB is NewCTTB for statically-known configurations. It panics iff
@@ -128,69 +110,90 @@ func NewTTB(indexBits int) *CTTB {
 
 // Name implements TargetBuffer.
 func (b *CTTB) Name() string {
-	if b.dolc.Depth == 0 {
-		return fmt.Sprintf("TTB(%v)", b.dolc)
+	if b.path.dolc.Depth == 0 {
+		return fmt.Sprintf("TTB(%v)", b.path.dolc)
 	}
-	return fmt.Sprintf("CTTB(%v)", b.dolc)
+	return fmt.Sprintf("CTTB(%v)", b.path.dolc)
 }
 
 // DOLC returns the buffer's index configuration.
-func (b *CTTB) DOLC() DOLC { return b.dolc }
+func (b *CTTB) DOLC() DOLC { return b.path.dolc }
 
 // SizeBytes returns the buffer storage, counting 4 bytes per entry as the
 // paper does ("a CTTB entry is 8 times as large as an exit prediction
 // table entry": 32 bits vs 4 bits).
-func (b *CTTB) SizeBytes() int { return b.dolc.TableSize() * 4 }
+func (b *CTTB) SizeBytes() int { return b.path.dolc.TableSize() * 4 }
 
 // States implements TargetBuffer.
 func (b *CTTB) States() int { return b.touched }
 
 // Reset implements TargetBuffer.
 func (b *CTTB) Reset() {
-	b.hist.Reset()
+	b.path.reset()
 	clear(b.entries)
+	clear(b.valid)
 	b.touched = 0
 	b.undo.reset()
 }
 
 // Lookup implements TargetBuffer.
 func (b *CTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
-	e := &b.entries[b.dolc.Index(&b.hist, current)]
-	if !e.valid {
-		if obs.On() {
+	target, ok := ttbLookup(b.entries[b.path.index(current)])
+	if obs.On() {
+		if ok {
+			obsCTTBHits.Inc()
+		} else {
 			obsCTTBMisses.Inc()
 		}
-		return 0, false
 	}
-	if obs.On() {
-		obsCTTBHits.Inc()
-	}
-	return e.target, true
+	return target, ok
 }
 
 // Train implements TargetBuffer.
 func (b *CTTB) Train(current isa.Addr, actual isa.Addr) { b.train(current, actual, nil) }
 
 func (b *CTTB) train(current isa.Addr, actual isa.Addr, log *undoRing) {
-	idx := b.dolc.Index(&b.hist, current)
-	e := &b.entries[idx]
+	idx := b.path.index(current)
+	v := b.entries[idx]
 	if log != nil {
-		log.push(specUndo{kind: undoTTBEntry, idx: idx, prev: packTTBEntry(e)})
+		log.push(specUndo{kind: undoTTBEntry, idx: idx, prev: v})
 	}
-	if !e.valid {
+	if target, valid := ttbLookup(v); !valid {
 		b.touched++
-	} else if e.target != actual && obs.On() {
+		b.valid.set(idx)
+	} else if target != actual && obs.On() {
 		// A valid entry trained toward a different target: either true
 		// destructive aliasing (another context folded to this index) or
 		// an unstable target — both are the conflicts the paper's DOLC
 		// folding study is about.
 		obsCTTBAliases.Inc()
 	}
-	e.train(actual)
+	b.entries[idx] = ttbTrain(v, actual)
 }
 
 // Advance implements TargetBuffer.
-func (b *CTTB) Advance(current isa.Addr) { b.hist.Push(current) }
+func (b *CTTB) Advance(current isa.Addr) { b.path.push(current) }
+
+// ReplayTargetBlock implements TargetBlockReplayer: the generic
+// Lookup/Train/Advance sequence with the calls resolved statically, so
+// the every-step Advance costs a history push, not an interface call.
+func (b *CTTB) ReplayTargetBlock(blk *trace.Block) (steps, misses int) {
+	entries := blk.Dict.Entries
+	taskIdx, exits, targetIdx := blk.TaskIdx, blk.Exits, blk.TargetIdx
+	for j := 0; j < blk.N; j++ {
+		ent := &entries[taskIdx[j]]
+		if e := exits[j]; e != trace.HaltExit && ent.Indirect[e] {
+			target := entries[targetIdx[j]].Addr
+			steps++
+			if got, ok := b.Lookup(ent.Addr); !ok || got != target {
+				misses++
+			}
+			b.train(ent.Addr, target, nil)
+		}
+		b.path.push(ent.Addr)
+	}
+	return steps, misses
+}
 
 // IdealCTTB is the alias-free CTTB limit: entries keyed by the exact
 // (path, current task) context in a flat context table, with unbounded

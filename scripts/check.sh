@@ -20,6 +20,7 @@ go test -race -timeout 10m ./...
 echo "==> fuzz smoke (5s per target)"
 go test ./internal/core -run '^$' -fuzz FuzzRAS -fuzztime 5s >/dev/null
 go test ./internal/core -run '^$' -fuzz FuzzCtxTable -fuzztime 5s >/dev/null
+go test ./internal/core -run '^$' -fuzz FuzzPathIndex -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzTraceRead -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzColumnarRead -fuzztime 5s >/dev/null
 
