@@ -547,8 +547,13 @@ func BenchmarkFunctionalInterp(b *testing.B) {
 	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
 }
 
-// BenchmarkTimingSim measures the ring timing model's throughput.
-func BenchmarkTimingSim(b *testing.B) {
+// benchTimingSteps is the timing benchmarks' task budget on boolmin.
+const benchTimingSteps = 30000
+
+// BenchmarkTimingRecord measures recording a task-path stream: one
+// functional run with the path-interning observer, the cost a timing
+// memo pays once per (workload, budget).
+func BenchmarkTimingRecord(b *testing.B) {
 	w, err := workload.ByName("boolmin")
 	if err != nil {
 		b.Fatal(err)
@@ -559,9 +564,50 @@ func BenchmarkTimingSim(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := timing.Run(g, nil, timing.Config{MaxSteps: 30000}); err != nil {
+		if _, err := timing.Record(g, benchTimingSteps); err != nil {
 			b.Fatal(err)
 		}
+	}
+	reportPerStepN(b, benchTimingSteps)
+}
+
+// BenchmarkTimingReplay measures the ring model over a warmed recording
+// memo, the per-run cost of every timing cell: allocs/op is one run's.
+func BenchmarkTimingReplay(b *testing.B) {
+	p, err := workload.CachedPaths("boolmin", benchTimingSteps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	std := experiments.StdSpec()
+	for _, c := range []struct{ name, spec string }{
+		{"perfect", ""},
+		{"composed", std},
+		{"composed_spec", std + ":spec:rlat8"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var pred core.TaskPredictor
+			var cfg timing.Config
+			if c.spec != "" {
+				sp, err := engine.Parse(c.spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if pred, err = sp.BuildTask(); err != nil {
+					b.Fatal(err)
+				}
+				cfg = timing.Config{SpecUpdate: sp.SpecUpdate(), SpecLag: sp.SpecLag(), RepairLatency: sp.RepairLat()}
+			}
+			if _, err := timing.Replay(p, pred, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := timing.Replay(p, pred, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerStepN(b, p.Len())
+		})
 	}
 }
 

@@ -43,18 +43,24 @@ func main() {
 			p.Name, res.IPC(), 100*res.TaskMissRate(), res.IntraMispredicts)
 	}
 
+	// The sweep replays one recording of the task stream: it does not
+	// depend on the predictor or the ring's shape.
 	fmt.Println("\nunit sweep (PATH predictor): window size vs prediction accuracy")
+	paths, err := timing.Record(graph, steps)
+	if err != nil {
+		log.Fatal(err)
+	}
+	path := experiments.Table4Specs()[3] // PATH
+	pred, err := engine.Build(path.Spec)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, units := range []int{1, 2, 4, 8, 16} {
-		path := experiments.Table4Specs()[3] // PATH
-		pred, err := engine.Build(path.Spec)
+		res, err := timing.Replay(paths, pred, timing.Config{Units: units})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := timing.Run(graph, pred, timing.Config{Units: units, MaxSteps: steps})
-		if err != nil {
-			log.Fatal(err)
-		}
-		perfect, err := timing.Run(graph, nil, timing.Config{Units: units, MaxSteps: steps})
+		perfect, err := timing.Replay(paths, nil, timing.Config{Units: units})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -80,6 +80,38 @@ func TestRunProgressStreaming(t *testing.T) {
 	}
 }
 
+// TestRunProgressTiming pins the progress contract on timing runs: the
+// total is the recorded stream's length, published before the replay,
+// the replay credits it chunk by chunk, and a done run reports steps ==
+// total, for budgets of several chunks, one chunk plus one and a single
+// task. Attaching the status must not perturb the result.
+func TestRunProgressTiming(t *testing.T) {
+	const spec = "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3:spec:rlat8"
+	for _, budget := range []int{10000, 4097, 1} {
+		r := Run{Workload: "compressb", Spec: spec, Mode: ModeTiming, TimingSteps: budget}
+		base := Do(r)
+
+		reg := obs.NewRunRegistry(4)
+		st := reg.Start("", r.Workload, r.Spec, "timing")
+		r.Status = st
+		res := Do(r)
+		st.Finish()
+		if base.Err != nil || res.Err != nil {
+			t.Fatal(base.Err, res.Err)
+		}
+		if res.Timing != base.Timing {
+			t.Fatalf("budget %d: timing result drifted under progress reporting:\nbase %+v\nwith %+v",
+				budget, base.Timing, res.Timing)
+		}
+		if st.Total() != int64(budget) || st.Steps() != st.Total() {
+			t.Fatalf("budget %d: steps/total = %d/%d, want %d/%d", budget, st.Steps(), st.Total(), budget, budget)
+		}
+		if int64(res.Timing.Tasks) != st.Steps() {
+			t.Fatalf("budget %d: replayed %d tasks, credited %d", budget, res.Timing.Tasks, st.Steps())
+		}
+	}
+}
+
 // TestRunProgressResultUnchanged re-checks byte invariance at the
 // engine layer: attaching a status must not perturb the result.
 func TestRunProgressResultUnchanged(t *testing.T) {

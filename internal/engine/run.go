@@ -185,7 +185,7 @@ func run(r Run, res *Result) (err error) {
 
 	if r.Stream && mode == ModeTiming {
 		return &UnsupportedError{Feature: "streaming replay",
-			Reason: "the timing model replays the functional machine, not a block stream; timing runs cannot stream"}
+			Reason: "the timing model replays a recorded task-path stream, not a block stream; timing runs cannot stream"}
 	}
 	if r.Stream && fs.Enabled() {
 		return &UnsupportedError{Feature: "streaming replay",
@@ -193,12 +193,7 @@ func run(r Run, res *Result) (err error) {
 	}
 
 	if mode == ModeTiming {
-		w, err := workload.ByName(r.Workload)
-		if err != nil {
-			return err
-		}
-		g, err := w.Graph()
-		if err != nil {
+		if _, err := workload.ByName(r.Workload); err != nil {
 			return err
 		}
 		pred, err := sp.BuildTask()
@@ -220,12 +215,22 @@ func run(r Run, res *Result) (err error) {
 			}
 			pred, res.Faulted = inj, true
 		}
-		tres, err := timing.Run(g, pred, timing.Config{
-			MaxSteps:      r.TimingSteps,
+		// Every timing run of a workload replays one memoized recording
+		// of its task stream; the total is known before the replay.
+		paths, err := workload.CachedPaths(r.Workload, r.TimingSteps)
+		if err != nil {
+			return err
+		}
+		r.Status.SetTotal(int64(paths.Len()))
+		cfg := timing.Config{
 			SpecUpdate:    sp.SpecUpdate(),
 			SpecLag:       sp.SpecLag(),
 			RepairLatency: sp.RepairLat(),
-		})
+		}
+		if st := r.Status; st != nil {
+			cfg.Progress = func(tasks int) { st.AddSteps(int64(tasks)) }
+		}
+		tres, err := timing.Replay(paths, pred, cfg)
 		if err != nil {
 			return err
 		}
@@ -233,9 +238,6 @@ func run(r Run, res *Result) (err error) {
 		if inj != nil {
 			res.Injection = inj.Stats()
 		}
-		// Timing runs have no step total up front; credit the tasks
-		// retired so the status at least shows forward motion.
-		r.Status.AddSteps(int64(tres.Tasks))
 		return nil
 	}
 

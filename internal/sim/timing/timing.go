@@ -14,6 +14,13 @@
 // all younger (speculative) work is squashed: the sequencer restarts
 // dispatch after the mispredicted task commits, plus a restart penalty.
 //
+// A run has two steps. Record executes the program once on the
+// functional machine and keeps its dynamic task stream as a column of
+// path ids into a dictionary of pre-decoded instruction records; the
+// stream does not depend on the predictor, so one recording serves every
+// predictor and configuration. Replay runs the ring model over a
+// recording. Run is Record followed by Replay.
+//
 // Simplifications, documented in DESIGN.md: memory disambiguation is
 // perfect (the ARB is a separate paper), wrong-path execution occupies no
 // modelled resources beyond the restart bubble, and functional-unit
@@ -21,11 +28,7 @@
 package timing
 
 import (
-	"fmt"
-
 	"multiscalar/internal/core"
-	"multiscalar/internal/isa"
-	"multiscalar/internal/sim/functional"
 	"multiscalar/internal/tfg"
 )
 
@@ -39,7 +42,7 @@ type Config struct {
 	RestartPenalty int // cycles from head commit to redirected dispatch (default 8: sequencer redirect plus ring refill startup)
 	ForwardLatency int // extra cycles for cross-task register values (default 1)
 	BimodalBits    int // log2 entries of each unit's bimodal table (default 10)
-	MaxSteps       int // dynamic task budget; 0 = run to halt
+	MaxSteps       int // dynamic task budget; 0 = run to halt (Replay: 0 = the whole recording)
 
 	// SpecUpdate trains the inter-task predictor speculatively at
 	// prediction time and repairs it through its undo log on every
@@ -54,7 +57,16 @@ type Config struct {
 	// predictor rollback (SpecUpdate only), modelling the cycles the
 	// repair drain occupies the prediction structures.
 	RepairLatency int
+
+	// Progress, when non-nil, is called from Replay with the number of
+	// tasks replayed since the previous call, every progressChunk tasks
+	// and once for the remainder. It is a side channel for live status
+	// only: results are identical with or without it.
+	Progress func(tasks int)
 }
+
+// progressChunk is the number of replayed tasks between Progress calls.
+const progressChunk = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Units == 0 {
@@ -109,223 +121,15 @@ func (r Result) TaskMissRate() float64 {
 	return float64(r.TaskMispredicts) / float64(r.Tasks)
 }
 
-// latency returns the execution latency of an opcode.
-func latency(op isa.Op) uint64 {
-	switch op {
-	case isa.Mul, isa.MulI:
-		return 3
-	case isa.Div, isa.Rem:
-		return 8
-	case isa.Lw:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // Run executes the program under g with the given inter-task predictor
-// and returns timing results. A nil predictor models perfect inter-task
-// prediction (the paper's "Perfect" row).
+// and returns timing results: Record for cfg.MaxSteps tasks, then Replay.
+// A nil predictor models perfect inter-task prediction (the paper's
+// "Perfect" row). Callers that time several predictors over one program
+// should record once and replay each.
 func Run(g *tfg.Graph, pred core.TaskPredictor, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if pred != nil {
-		pred.Reset()
-	}
-
-	s := &simState{
-		cfg:      cfg,
-		graph:    g,
-		code:     g.Prog.Code,
-		pred:     pred,
-		unitFree: make([]uint64, cfg.Units),
-		bimodal:  make([][]uint8, cfg.Units),
-	}
-	if cfg.SpecUpdate && pred != nil {
-		sess, err := core.NewSpecTaskSession(pred, cfg.SpecLag)
-		if err != nil {
-			return Result{}, fmt.Errorf("timing: %w", err)
-		}
-		s.sess = sess
-	}
-	for u := range s.bimodal {
-		s.bimodal[u] = make([]uint8, 1<<uint(cfg.BimodalBits))
-		// Initialize weakly-taken so loops start reasonably.
-		for i := range s.bimodal[u] {
-			s.bimodal[u][i] = 2
-		}
-	}
-
-	m := functional.NewMachine(g, functional.Config{Observer: s.observe})
-	_, err := m.Run(functional.Config{MaxSteps: cfg.MaxSteps})
+	p, err := Record(g, cfg.MaxSteps)
 	if err != nil {
-		return Result{}, fmt.Errorf("timing: %w", err)
+		return Result{}, err
 	}
-	if s.sess != nil {
-		s.sess.Finish()
-		s.res.Rollbacks = s.sess.Rollbacks()
-	}
-	s.res.Instrs = m.Stats().Instrs
-	s.res.Cycles = s.prevCommit
-	return s.res, nil
-}
-
-// simState is the ring model's accumulator, driven by instruction events.
-type simState struct {
-	cfg   Config
-	graph *tfg.Graph
-	code  []isa.Instr
-	pred  core.TaskPredictor
-	sess  *core.SpecTaskSession // non-nil in speculative-update mode
-
-	res Result
-
-	// Scoreboard.
-	regReady  [isa.NumRegs]uint64
-	regWriter [isa.NumRegs]int
-
-	unitFree []uint64
-	bimodal  [][]uint8
-
-	dispatch   uint64 // earliest cycle the sequencer can dispatch the next task
-	prevCommit uint64
-
-	// Current task state.
-	taskIdx   int
-	curUnit   int
-	started   bool
-	slotCycle uint64
-	slotUsed  int
-	complete  uint64
-	curTask   isa.Addr
-
-	useBuf []isa.Reg
-}
-
-// beginTask sets up per-task pipeline state.
-func (s *simState) beginTask(start isa.Addr) {
-	s.curUnit = s.taskIdx % s.cfg.Units
-	t := s.dispatch
-	if f := s.unitFree[s.curUnit]; f > t {
-		t = f
-	}
-	s.dispatch = t + 1 // the sequencer predicts/dispatches one task per cycle
-	s.slotCycle = t
-	s.slotUsed = 0
-	s.complete = t
-	s.curTask = start
-	s.started = true
-}
-
-// observe consumes one executed instruction.
-func (s *simState) observe(ev functional.InstrEvent) {
-	if !s.started {
-		s.beginTask(ev.PC)
-	}
-	in := &s.code[ev.PC]
-
-	// Operand readiness through the scoreboard.
-	ready := s.slotCycle
-	s.useBuf = in.Uses(s.useBuf[:0])
-	for _, r := range s.useBuf {
-		if r == isa.Zero {
-			continue
-		}
-		t := s.regReady[r]
-		if s.regWriter[r] != s.taskIdx {
-			t += uint64(s.cfg.ForwardLatency)
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-
-	// In-order issue, IssueWidth per cycle.
-	if s.slotUsed >= s.cfg.IssueWidth {
-		s.slotCycle++
-		s.slotUsed = 0
-	}
-	issue := s.slotCycle
-	if ready > issue {
-		issue = ready
-		s.slotCycle = ready
-		s.slotUsed = 0
-	}
-	s.slotUsed++
-
-	done := issue + latency(in.Op)
-	if d := in.Def(); d != isa.Zero {
-		s.regReady[d] = done
-		s.regWriter[d] = s.taskIdx
-	}
-	if done > s.complete {
-		s.complete = done
-	}
-
-	// Intra-task branch prediction (per-unit bimodal).
-	if in.Op == isa.Br && !ev.EndsTask {
-		idx := uint32(ev.PC) & (1<<uint(s.cfg.BimodalBits) - 1)
-		ctr := &s.bimodal[s.curUnit][idx]
-		predTaken := *ctr >= 2
-		if predTaken != ev.Taken {
-			s.res.IntraMispredicts++
-			s.slotCycle = issue + uint64(s.cfg.BranchPenalty)
-			s.slotUsed = 0
-		}
-		if ev.Taken {
-			if *ctr < 3 {
-				*ctr++
-			}
-		} else if *ctr > 0 {
-			*ctr--
-		}
-	}
-
-	if !ev.EndsTask {
-		return
-	}
-
-	// Task boundary: commit in FIFO order, then score the inter-task
-	// prediction that dispatched our successor.
-	commit := s.complete
-	if commit <= s.prevCommit {
-		commit = s.prevCommit + 1
-	}
-	s.unitFree[s.curUnit] = commit
-	s.prevCommit = commit
-	s.res.Tasks++
-
-	if ev.Exit >= 0 {
-		task := s.graph.TaskAt(s.curTask)
-		correct := true
-		rolledBack := false
-		if s.sess != nil {
-			// Speculative-update mode: the session trains the predicted
-			// outcome at prediction time and repairs on resolution; a
-			// rollback here is a predictor-state repair, charged below on
-			// top of whatever restart bubble the mispredict itself costs.
-			before := s.sess.Rollbacks()
-			p := s.sess.Step(task, core.Outcome{Exit: ev.Exit, Target: ev.Target})
-			correct = p.Target == ev.Target
-			rolledBack = s.sess.Rollbacks() > before
-		} else if s.pred != nil {
-			p := s.pred.Predict(task)
-			correct = p.Target == ev.Target
-			s.pred.Update(task, core.Outcome{Exit: ev.Exit, Target: ev.Target})
-		}
-		if !correct {
-			s.res.TaskMispredicts++
-			// Squash: younger speculative work is discarded; dispatch
-			// resumes after this task commits, plus a restart penalty.
-			s.dispatch = commit + uint64(s.cfg.RestartPenalty)
-		}
-		if rolledBack && s.cfg.RepairLatency > 0 {
-			// The repair drain occupies the prediction structures: the
-			// sequencer cannot dispatch (or re-dispatch after a squash)
-			// until it completes.
-			s.dispatch += uint64(s.cfg.RepairLatency)
-			s.res.RepairCycles += uint64(s.cfg.RepairLatency)
-		}
-	}
-	s.taskIdx++
-	s.started = false
+	return Replay(p, pred, cfg)
 }

@@ -58,6 +58,16 @@ func (tr *Trace) Halted() bool {
 	return n > 0 && tr.Steps[n-1].Exit == HaltExit
 }
 
+// Prefix returns the trace of the first n steps, sharing tr's Steps
+// backing array (the whole trace when n reaches its length).
+func (tr *Trace) Prefix(n int) *Trace {
+	if n >= tr.Len() {
+		return tr
+	}
+	n = max(n, 0)
+	return &Trace{Graph: tr.Graph, Steps: tr.Steps[:n:n]}
+}
+
 // PredictionSteps returns the number of steps that are prediction events
 // (all but a trailing halt step).
 func (tr *Trace) PredictionSteps() int {

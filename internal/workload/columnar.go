@@ -2,20 +2,20 @@ package workload
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"multiscalar/internal/obs"
 	"multiscalar/internal/sim/functional"
+	"multiscalar/internal/sim/taskpath"
 	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 )
 
-// obsCacheBytes gauges the heap bytes held by the columnar trace cache —
-// the actual resident cost of the cache layer. Materialized
+// obsCacheBytes gauges the heap bytes held by the budgeted caches — the
+// columnar traces and the timing model's recorded path streams, the
+// actual resident cost of the cache layer. Materialized
 // array-of-structs views are derived, transient artifacts and are not
-// counted (the satellite fix: counting struct bytes would over-report
-// the cache several-fold now that columns are the primitive).
+// counted (counting struct bytes would over-report the cache
+// several-fold now that columns are the primitive).
 var obsCacheBytes = obs.Default().Gauge("workload.trace_cache.bytes")
 
 // runColumnar executes the workload's program on a fresh machine,
@@ -59,63 +59,39 @@ func runColumnar(g *tfg.Graph, maxSteps int) (*trace.Columnar, *functional.Machi
 // generating run. This is the primitive trace memo: Trace() materializes
 // its array-of-structs view from it.
 func (w *Workload) Columnar() (*trace.Columnar, functional.Stats, error) {
-	w.colOnce.Do(w.fullColumnar)
-	return w.col, w.colStats, w.colErr
+	c, err := w.cols.getFull(w.fullColumnar)
+	return c, w.colStats, err
 }
 
-// fullColumnar is the body of the full-columnar memoization: simulate to
-// halt with segmented encoding, self-check, publish. Must be called
-// under colOnce.
-func (w *Workload) fullColumnar() {
+// fullColumnar generates the full columnar trace: simulate to halt with
+// segmented encoding and self-check. It runs once, under the memo.
+func (w *Workload) fullColumnar() (*trace.Columnar, error) {
 	g, err := w.Graph()
 	if err != nil {
-		w.colErr = err
-		return
+		return nil, err
 	}
 	c, m, err := runColumnar(g, 0)
 	if err != nil {
-		w.colErr = fmt.Errorf("workload %s: %w", w.Name, err)
-		return
+		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
 	if !m.Stats().Halted {
-		w.colErr = fmt.Errorf("workload %s: did not halt", w.Name)
-		return
+		return nil, fmt.Errorf("workload %s: did not halt", w.Name)
 	}
 	if w.Check != nil {
 		if err := w.Check(m, g.Prog); err != nil {
-			w.colErr = fmt.Errorf("workload %s: self-check failed: %w", w.Name, err)
-			return
+			return nil, fmt.Errorf("workload %s: self-check failed: %w", w.Name, err)
 		}
 	}
-	w.col, w.colStats = c, m.Stats()
-	w.fullCol.Store(c)
-	if obs.On() {
-		obsCacheBytes.Add(int64(c.Footprint()))
-	}
+	w.colStats = m.Stats()
+	return c, nil
 }
-
-// colCacheKey identifies one memoized truncated columnar trace.
-type colCacheKey struct {
-	name     string
-	maxSteps int
-}
-
-// colCacheEntry generates its columns exactly once under concurrent
-// demand.
-type colCacheEntry struct {
-	once sync.Once
-	c    *trace.Columnar
-	err  error
-}
-
-var colCache sync.Map // colCacheKey -> *colCacheEntry
 
 // CachedColumnar is CachedTrace over the columnar encoding: the named
 // workload's trace truncated to maxSteps tasks (0 = full), memoized
-// process-wide, shared read-only. The clamp and prefix semantics match
-// CachedTrace exactly — oversized caps alias the one full-columnar memo,
-// and truncations requested after the full columns exist are served as
-// prefix views sharing the column backing arrays and dictionary.
+// process-wide under budgetMemo's contract, shared read-only. Oversized
+// caps alias the one full-columnar memo, and truncations within columns
+// already generated are served as prefix views sharing the column
+// backing arrays and dictionary.
 //
 // A workload whose trace cannot be columnar-encoded (more than 64Ki
 // distinct addresses) reports trace.ErrNotColumnar; callers fall back to
@@ -125,81 +101,41 @@ func CachedColumnar(name string, maxSteps int) (*trace.Columnar, error) {
 	if err != nil {
 		return nil, err
 	}
-	if maxSteps <= 0 {
-		return w.cachedFullColumnar()
-	}
-	if full := w.fullCol.Load(); full != nil && maxSteps >= full.Len() {
-		if obs.On() {
-			obsCacheHits.Inc()
-		}
-		return full, nil
-	}
-	e, _ := colCache.LoadOrStore(colCacheKey{name: w.Name, maxSteps: maxSteps}, &colCacheEntry{})
-	entry := e.(*colCacheEntry)
-	generated := false
-	entry.once.Do(func() {
-		generated = true
-		if full := w.fullCol.Load(); full != nil {
-			// maxSteps < full.Len() here: a prefix view over the full
-			// columns, costing no simulation and ~no memory.
-			entry.c = full.Prefix(maxSteps)
-			if obs.On() {
-				obsCacheHits.Inc()
-			}
-			return
-		}
+	return w.cols.get(maxSteps, func(n int) (*trace.Columnar, error) {
 		g, err := w.Graph()
 		if err != nil {
-			entry.err = err
-			return
+			return nil, err
 		}
-		start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-		var c *trace.Columnar
-		c, _, entry.err = runColumnar(g, maxSteps)
-		if obs.On() {
-			obsCacheMisses.Inc()
-			obsDecodeSecs.Observe(time.Since(start).Seconds())
+		c, _, err := runColumnar(g, n)
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 		}
-		if entry.err != nil {
-			entry.err = fmt.Errorf("workload %s: %w", w.Name, entry.err)
-			return
-		}
-		entry.c = c
-		if c.Halted() {
-			// The cap never bit — this IS the full trace. Alias the
-			// full-columnar memo so every oversized cap shares one copy.
-			if full, ferr := w.cachedFullColumnar(); ferr == nil {
-				entry.c = full
-				return
-			}
-		}
-		if obs.On() {
-			obsCacheBytes.Add(int64(entry.c.Footprint()))
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
-	}
-	return entry.c, entry.err
+		return c, nil
+	}, w.fullColumnar)
 }
 
-// cachedFullColumnar is CachedColumnar's full-trace arm: the colOnce
-// memo with cache-hit/miss accounting.
-func (w *Workload) cachedFullColumnar() (*trace.Columnar, error) {
-	generated := false
-	w.colOnce.Do(func() {
-		generated = true
-		start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-		w.fullColumnar()
-		if obs.On() {
-			obsCacheMisses.Inc()
-			obsDecodeSecs.Observe(time.Since(start).Seconds())
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
+// CachedPaths returns the named workload's recorded task-path stream
+// (taskpath.Record) for at most steps tasks (0 = to halt), memoized
+// process-wide under budgetMemo's contract and shared read-only: every
+// timing run of a workload replays one recording.
+func CachedPaths(name string, steps int) (*taskpath.Stream, error) {
+	w, err := ByName(name)
+	if err != nil {
+		return nil, err
 	}
-	return w.col, w.colErr
+	record := func(n int) (*taskpath.Stream, error) {
+		g, err := w.Graph()
+		if err != nil {
+			return nil, err
+		}
+		simulations.Add(1)
+		s, err := taskpath.Record(g, n)
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", w.Name, err)
+		}
+		return s, nil
+	}
+	return w.paths.get(steps, record, func() (*taskpath.Stream, error) { return record(0) })
 }
 
 // blockStream generates a workload's trace block by block, on the fly:

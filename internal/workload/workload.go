@@ -15,21 +15,22 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"multiscalar/internal/msl"
 	"multiscalar/internal/obs"
 	"multiscalar/internal/program"
 	"multiscalar/internal/sim/functional"
+	"multiscalar/internal/sim/taskpath"
 	"multiscalar/internal/taskform"
 	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 )
 
-// Trace-cache metrics: how often the process-level memoization absorbs a
-// replay (hits) versus pays a functional simulation (misses, with the
-// decode/simulation time in the histogram). Off the results path — the
-// cached traces themselves are identical either way.
+// Trace-cache metrics: how often the process-level memos (columnar
+// traces, their materialized views, recorded task-path streams) absorb a
+// request (hits) versus generate it (misses, with the generation time in
+// the histogram). Off the results path — the cached artifacts themselves
+// are identical either way.
 var (
 	obsCacheHits   = obs.Default().Counter("workload.trace_cache.hits")
 	obsCacheMisses = obs.Default().Counter("workload.trace_cache.misses")
@@ -65,24 +66,20 @@ type Workload struct {
 	graph *tfg.Graph
 	err   error
 
-	// colOnce memoizes the columnar full trace — the primitive encoding
-	// every other trace view derives from (see columnar.go).
-	colOnce  sync.Once
-	col      *trace.Columnar
+	// cols memoizes the columnar traces — the primitive encoding every
+	// other trace view derives from (see columnar.go); colStats are the
+	// execution stats of the full run.
+	cols     budgetMemo[*trace.Columnar]
 	colStats functional.Stats
-	colErr   error
-	// fullCol mirrors the memoized full columnar trace for lock-free
-	// clamp/prefix checks outside colOnce.
-	fullCol atomic.Pointer[trace.Columnar]
 
-	traceOnce sync.Once
-	trace     *trace.Trace
-	stats     functional.Stats
-	traceErr  error
-	// full mirrors the successfully-memoized full trace for lock-free
-	// "is it already materialized?" checks outside traceOnce (truncation
-	// requests consult it to clamp and to share the Steps backing array).
-	full atomic.Pointer[trace.Trace]
+	// paths memoizes the timing model's recorded task-path streams.
+	paths budgetMemo[*taskpath.Stream]
+
+	// traces memoizes the array-of-structs trace views, materialized
+	// from the columnar memo; stats are the execution stats of the full
+	// run.
+	traces budgetMemo[*trace.Trace]
+	stats  functional.Stats
 }
 
 var (
@@ -167,50 +164,44 @@ func (w *Workload) Graph() (*tfg.Graph, error) {
 // Trace returns the workload's full dynamic task trace (computed once and
 // cached; all predictor studies replay this shared trace).
 func (w *Workload) Trace() (*trace.Trace, functional.Stats, error) {
-	w.traceOnce.Do(w.fullTrace)
-	return w.trace, w.stats, w.traceErr
+	tr, err := w.traces.getFull(w.fullTrace)
+	return tr, w.stats, err
 }
 
-// fullTrace is the body of the full-trace memoization. The columnar
-// memo is the primitive: generation (simulation, halt check, self-check)
-// happens there once, and the array-of-structs view is materialized from
-// the columns. A workload whose trace cannot be columnar-encoded falls
-// back to direct legacy generation. Must be called under traceOnce.
-func (w *Workload) fullTrace() {
+// fullTrace generates the full trace. The columnar memo is the
+// primitive: generation (simulation, halt check, self-check) happens
+// there once, and the array-of-structs view is materialized from the
+// columns. A workload whose trace cannot be columnar-encoded falls back
+// to direct legacy generation. It runs once, under the memo.
+func (w *Workload) fullTrace() (*trace.Trace, error) {
 	c, stats, err := w.Columnar()
 	if err == nil {
-		w.trace, w.stats = c.Materialize(), stats
-		w.full.Store(w.trace)
-		return
+		w.stats = stats
+		return c.Materialize(), nil
 	}
 	if !errors.Is(err, trace.ErrNotColumnar) {
-		w.traceErr = err
-		return
+		return nil, err
 	}
-	g, gerr := w.Graph()
-	if gerr != nil {
-		w.traceErr = gerr
-		return
+	g, err := w.Graph()
+	if err != nil {
+		return nil, err
 	}
 	simulations.Add(1)
 	m := functional.NewMachine(g, functional.Config{})
 	tr, err := m.Run(functional.Config{})
 	if err != nil {
-		w.traceErr = fmt.Errorf("workload %s: %w", w.Name, err)
-		return
+		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
 	if !m.Stats().Halted {
-		w.traceErr = fmt.Errorf("workload %s: did not halt", w.Name)
-		return
+		return nil, fmt.Errorf("workload %s: did not halt", w.Name)
 	}
 	if w.Check != nil {
 		if err := w.Check(m, g.Prog); err != nil {
-			w.traceErr = fmt.Errorf("workload %s: self-check failed: %w", w.Name, err)
-			return
+			return nil, fmt.Errorf("workload %s: self-check failed: %w", w.Name, err)
 		}
 	}
-	w.trace, w.stats = tr, m.Stats()
-	w.full.Store(tr)
+	w.stats = m.Stats()
+	return tr, nil
 }
 
 // TraceN runs the workload for at most maxSteps dynamic tasks. Unlike
@@ -226,112 +217,34 @@ func (w *Workload) TraceN(maxSteps int) (*trace.Trace, error) {
 	return tr, err
 }
 
-// traceCacheKey identifies one memoized truncated trace.
-type traceCacheKey struct {
-	name     string
-	maxSteps int
-}
-
-// traceCacheEntry generates its trace exactly once, even under
-// concurrent demand from many evaluation workers.
-type traceCacheEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-var traceCache sync.Map // traceCacheKey -> *traceCacheEntry
-
 // CachedTrace returns the named workload's dynamic task trace truncated
-// to maxSteps tasks (0 = the full trace), memoized process-wide so each
-// (workload, truncation) pair is simulated at most once no matter how
-// many experiments or concurrent workers replay it. The returned trace is
-// shared: replays must treat it as read-only (predictor evaluation does;
-// the fault harness proves it with checksums).
+// to maxSteps tasks (0 = the full trace), memoized process-wide under
+// budgetMemo's contract, so each (workload, truncation) pair is
+// materialized at most once no matter how many experiments or concurrent
+// workers replay it. The returned trace is shared: replays must treat it
+// as read-only (predictor evaluation does; the fault harness proves it
+// with checksums).
 //
-// A cap at or beyond the full run's length is the full trace: such
-// requests clamp to the full-trace memo (every oversized maxSteps returns
-// the same *trace.Trace) instead of simulating and storing a duplicate
-// copy per distinct cap. Genuine truncations requested after the full
-// trace has materialized share its Steps backing array — the functional
-// simulator is deterministic, so a capped run is exactly a prefix of the
-// full run — and cost no simulation at all.
+// Every cap at or beyond the full run's length returns the one full
+// trace, and a truncation within a trace already materialized shares its
+// Steps backing array. A new truncation is materialized from the
+// columnar cache; workloads that cannot columnar-encode simulate it
+// directly.
 func CachedTrace(name string, maxSteps int) (*trace.Trace, error) {
 	w, err := ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	if maxSteps <= 0 {
-		return w.cachedFullTrace()
-	}
-	if full := w.full.Load(); full != nil && maxSteps >= full.Len() {
-		if obs.On() {
-			obsCacheHits.Inc()
+	return w.traces.get(maxSteps, func(n int) (*trace.Trace, error) {
+		c, err := CachedColumnar(w.Name, n)
+		if err == nil {
+			return c.Materialize(), nil
 		}
-		return full, nil
-	}
-	e, _ := traceCache.LoadOrStore(traceCacheKey{name: w.Name, maxSteps: maxSteps}, &traceCacheEntry{})
-	entry := e.(*traceCacheEntry)
-	generated := false
-	entry.once.Do(func() {
-		generated = true
-		if full := w.full.Load(); full != nil {
-			// maxSteps < full.Len() here (the clamp above handled the
-			// rest): serve the prefix off the full trace's backing array.
-			entry.tr = &trace.Trace{Graph: full.Graph, Steps: full.Steps[:maxSteps:maxSteps]}
-			if obs.On() {
-				obsCacheHits.Inc()
-			}
-			return
+		if !errors.Is(err, trace.ErrNotColumnar) {
+			return nil, err
 		}
-		// The columnar cache is the generation primitive: materialize the
-		// array-of-structs view from it (hit/miss accounting happens
-		// there). Workloads that cannot columnar-encode simulate legacy.
-		if c, cerr := CachedColumnar(w.Name, maxSteps); cerr == nil {
-			entry.tr = c.Materialize()
-		} else if !errors.Is(cerr, trace.ErrNotColumnar) {
-			entry.err = cerr
-			return
-		} else {
-			start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-			entry.tr, entry.err = w.TraceN(maxSteps)
-			if obs.On() {
-				obsCacheMisses.Inc()
-				obsDecodeSecs.Observe(time.Since(start).Seconds())
-			}
-		}
-		if entry.err == nil && entry.tr.Halted() {
-			// The cap never bit — the run completed, so this IS the full
-			// trace. Alias the full-trace memo (simulating it once if
-			// needed) so every oversized cap shares one trace.
-			if full, ferr := w.cachedFullTrace(); ferr == nil {
-				entry.tr = full
-			}
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
-	}
-	return entry.tr, entry.err
-}
-
-// cachedFullTrace is CachedTrace's full-trace arm: the traceOnce memo
-// with cache-hit/miss accounting.
-func (w *Workload) cachedFullTrace() (*trace.Trace, error) {
-	generated := false
-	w.traceOnce.Do(func() {
-		generated = true
-		start := time.Now() //detlint:allow det-time (obs-gated decode timing; metrics only)
-		w.fullTrace()
-		if obs.On() {
-			obsCacheMisses.Inc()
-			obsDecodeSecs.Observe(time.Since(start).Seconds())
-		}
-	})
-	if !generated && obs.On() {
-		obsCacheHits.Inc()
-	}
-	return w.trace, w.traceErr
+		return w.TraceN(n)
+	}, w.fullTrace)
 }
 
 // readWord fetches a named scalar from machine memory (a helper for

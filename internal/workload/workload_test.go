@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"multiscalar/internal/isa"
+	"multiscalar/internal/sim/taskpath"
 	"multiscalar/internal/tfg"
 	"multiscalar/internal/trace"
 )
@@ -275,5 +276,62 @@ func TestCachedTraceTruncationSharesBacking(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("shared-prefix truncation does not validate: %v", err)
+	}
+}
+
+// TestCachedPathsMemo checks the timing-path memo's contract: concurrent
+// first demands for one budget share one recording and one simulation,
+// a smaller budget is a prefix of it without simulating, and a repeated
+// budget returns the memoized stream.
+func TestCachedPathsMemo(t *testing.T) {
+	const budget = 9000
+	before := Simulations()
+	var wg sync.WaitGroup
+	got := make([]*taskpath.Stream, 8)
+	for i := range got {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := CachedPaths("calcsheet", budget)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = p
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < len(got); i++ {
+		if got[i] != got[0] {
+			t.Fatalf("goroutine %d got a different recording", i)
+		}
+	}
+	if got[0].Len() != budget || got[0].Halted() {
+		t.Fatalf("recording len %d halted %v, want %d tasks", got[0].Len(), got[0].Halted(), budget)
+	}
+	if d := Simulations() - before; d != 1 {
+		t.Fatalf("%d simulations for one budget, want 1", d)
+	}
+
+	small, err := CachedPaths("calcsheet", 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small.Len() != 1234 {
+		t.Fatalf("prefix len %d, want 1234", small.Len())
+	}
+	again, err := CachedPaths("calcsheet", 1234)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != small {
+		t.Fatal("repeated budget not memoized")
+	}
+	if d := Simulations() - before; d != 1 {
+		t.Fatalf("prefix budget simulated (%d simulations)", d)
+	}
+	if _, err := CachedPaths("nope", 100); err == nil {
+		t.Fatal("unknown workload accepted")
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, race-enabled tests (with a per-package
 # watchdog so a hung test cannot wedge CI), a fuzz smoke over the
-# hardened parsers, and the static analyzer over every built-in workload
-# (zero error diagnostics required). Run from the repository root.
+# hardened parsers and the timing model's prefix contract, and the
+# static analyzer over every built-in workload (zero error diagnostics
+# required). Run from the repository root.
 set -eu
 
 echo "==> go build ./..."
@@ -23,6 +24,7 @@ go test ./internal/core -run '^$' -fuzz FuzzCtxTable -fuzztime 5s >/dev/null
 go test ./internal/core -run '^$' -fuzz FuzzPathIndex -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzTraceRead -fuzztime 5s >/dev/null
 go test ./internal/trace -run '^$' -fuzz FuzzColumnarRead -fuzztime 5s >/dev/null
+go test ./internal/sim/timing -run '^$' -fuzz FuzzTimingPrefix -fuzztime 5s >/dev/null
 
 echo "==> mlint -w all"
 go run ./cmd/mlint -w all >/dev/null
