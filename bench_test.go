@@ -303,9 +303,12 @@ func BenchmarkEvaluateTaskComposedUnresolved(b *testing.B) {
 // BenchmarkEvaluateTaskFaulted replays the standard composed predictor
 // under fault injection with every fault kind at rate 1e-1, so the
 // corruption hooks — the PHT and CTTB victim searches among them — run
-// on about one step in ten.
+// on about one step in ten. It runs fault.ReplayTask over the columnar
+// cache, the engine's faulted path, so the recovery checks (step count,
+// column checksum before and after, revalidation against the TFG) are
+// part of every operation.
 func BenchmarkEvaluateTaskFaulted(b *testing.B) {
-	tr, _ := benchResolvedTrace(b, "minilisp")
+	c := benchColumnarTrace(b, "minilisp")
 	fs, err := fault.ParseSpec("all=1e-1")
 	if err != nil {
 		b.Fatal(err)
@@ -314,12 +317,16 @@ func BenchmarkEvaluateTaskFaulted(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = core.EvaluateTask(tr, inj)
+	if _, err := fault.ReplayTask(c, c.Blocks(), inj); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateTask(tr, inj)
+		if _, err := fault.ReplayTask(c, c.Blocks(), inj); err != nil {
+			b.Fatal(err)
+		}
 	}
-	reportPerStep(b, tr)
+	reportPerStepN(b, c.PredictionSteps())
 }
 
 // ---- block kernels (columnar replay) -------------------------------------

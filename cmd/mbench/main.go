@@ -198,19 +198,28 @@ func watchRuns(stop <-chan struct{}) {
 			if len(active) == 0 {
 				continue
 			}
-			a := active[0]
-			extra := ""
-			if len(active) > 1 {
-				extra = fmt.Sprintf(" (+%d more)", len(active)-1)
-			}
-			if a.Total > 0 {
-				fmt.Fprintf(os.Stderr, "mbench: run %s/%s %d/%d steps (%.0f%%, %.0f steps/s, eta %.0fs)%s\n",
-					a.Workload, a.Mode, a.Steps, a.Total,
-					100*float64(a.Steps)/float64(a.Total), a.StepsPerSecond, a.ETASeconds, extra)
-			} else {
-				fmt.Fprintf(os.Stderr, "mbench: run %s/%s %d steps (%.0f steps/s)%s\n",
-					a.Workload, a.Mode, a.Steps, a.StepsPerSecond, extra)
-			}
+			fmt.Fprintln(os.Stderr, runLine(active[0], len(active)-1))
 		}
 	}
+}
+
+// runLine renders one in-flight run for watchRuns; more counts the other
+// active runs. The ETA reads "unknown" until a step has been credited,
+// because there is no rate to extrapolate from yet.
+func runLine(a obs.RunStatusSnapshot, more int) string {
+	extra := ""
+	if more > 0 {
+		extra = fmt.Sprintf(" (+%d more)", more)
+	}
+	if a.Total <= 0 {
+		return fmt.Sprintf("mbench: run %s/%s %d steps (%.0f steps/s)%s",
+			a.Workload, a.Mode, a.Steps, a.StepsPerSecond, extra)
+	}
+	eta := "unknown"
+	if a.StepsPerSecond > 0 {
+		eta = fmt.Sprintf("%.0fs", a.ETASeconds)
+	}
+	return fmt.Sprintf("mbench: run %s/%s %d/%d steps (%.0f%%, %.0f steps/s, eta %s)%s",
+		a.Workload, a.Mode, a.Steps, a.Total,
+		100*float64(a.Steps)/float64(a.Total), a.StepsPerSecond, eta, extra)
 }

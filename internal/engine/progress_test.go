@@ -3,11 +3,15 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"multiscalar/internal/fault"
 	"multiscalar/internal/obs"
+	"multiscalar/internal/trace"
+	"multiscalar/internal/workload"
 )
 
 // TestRunProgressCachedColumnar pins the progress contract on the
@@ -109,6 +113,110 @@ func TestRunProgressTiming(t *testing.T) {
 		if int64(res.Timing.Tasks) != st.Steps() {
 			t.Fatalf("budget %d: replayed %d tasks, credited %d", budget, res.Timing.Tasks, st.Steps())
 		}
+	}
+}
+
+// creditLog is a block source that records the status's step count each
+// time the replay asks for the next block, i.e. what progress surfaces
+// could see between blocks.
+type creditLog struct {
+	src  trace.BlockSource
+	st   *obs.RunStatus
+	seen []int64
+}
+
+func (l *creditLog) NextBlock() (*trace.Block, error) {
+	l.seen = append(l.seen, l.st.Steps())
+	return l.src.NextBlock()
+}
+
+// TestRunProgressFaulted pins the progress contract on faulted task
+// runs, which replay block by block: the total is published before any
+// step is credited, steps only grow, a done run reports steps == total,
+// and the status does not perturb the result. The credit log then shows
+// the replay credits each 4096-step block as it goes, not all at the end.
+func TestRunProgressFaulted(t *testing.T) {
+	const steps = 9000
+	r := Run{Workload: "boolmin", Spec: stdSpec, Fault: "all=0.01,seed=3", MaxSteps: steps}
+	base := Do(r)
+
+	reg := obs.NewRunRegistry(4)
+	st := reg.Start("", r.Workload, r.Spec, "task")
+	r.Status = st
+
+	var sampler sync.WaitGroup
+	stop := make(chan struct{})
+	var bad string
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		prev := int64(0)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := st.Steps()
+			if v < prev {
+				bad = "steps decreased mid-run"
+				return
+			}
+			if v > 0 && st.Total() != steps {
+				bad = "steps credited before the total was published"
+				return
+			}
+			prev = v
+		}
+	}()
+	res := Do(r)
+	st.Finish()
+	close(stop)
+	sampler.Wait()
+
+	if base.Err != nil || res.Err != nil {
+		t.Fatal(base.Err, res.Err)
+	}
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if !res.Faulted || !reflect.DeepEqual(res.Task, base.Task) || res.Injection != base.Injection {
+		t.Fatalf("faulted result drifted under progress reporting:\nbase %+v %v\nwith %+v %v",
+			base.Task, base.Injection, res.Task, res.Injection)
+	}
+	if st.Total() != steps || st.Steps() != st.Total() {
+		t.Fatalf("done run: steps/total = %d/%d, want %d/%d", st.Steps(), st.Total(), steps, steps)
+	}
+
+	c, err := workload.CachedColumnar(r.Workload, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Parse(r.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := fault.ParseSpec(r.Fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = reg.Start("", r.Workload, r.Spec, "task")
+	log := &creditLog{src: WithProgress(c.Blocks(), st), st: st}
+	var logged Result
+	if err := replayFaulted(sp, fs, c, log, &logged); err != nil {
+		t.Fatal(err)
+	}
+	intermediate := 0
+	for i, v := range log.seen {
+		if i > 0 && v <= log.seen[i-1] {
+			t.Fatalf("credits %v do not grow with every block", log.seen)
+		}
+		if v > 0 && v < steps {
+			intermediate++
+		}
+	}
+	if intermediate < 2 || log.seen[len(log.seen)-1] != steps {
+		t.Fatalf("credits %v: want at least two intermediate credits, ending at %d", log.seen, steps)
 	}
 }
 

@@ -63,7 +63,10 @@ type Run struct {
 	Mode Mode
 	// Fault is a fault-injection spec (fault.ParseSpec; "" = off). Only
 	// task and timing runs can inject — the injector wraps a full task
-	// predictor.
+	// predictor. A faulted task run replays the columnar cache block by
+	// block under fault.ReplayTask, which holds it to the recovery
+	// invariants: the oracle's step count, an unchanged column checksum
+	// and revalidation against the TFG.
 	Fault string
 	// MaxSteps truncates the trace (0 = full; replay modes only).
 	MaxSteps int
@@ -74,7 +77,8 @@ type Run struct {
 	// of a cached trace: functional simulation pipelines into the replay
 	// kernels and the full trace is never resident, so step counts can
 	// exceed memory. Replay modes only; streaming runs cannot inject
-	// faults (the fault harness checksums a materialized trace).
+	// faults (the recovery checks checksum and revalidate the whole
+	// trace before and after the replay, so it must be resident).
 	Stream bool
 	// Label optionally names the run in formatted output; Result.Label
 	// falls back to the canonical spec string.
@@ -189,7 +193,7 @@ func run(r Run, res *Result) (err error) {
 	}
 	if r.Stream && fs.Enabled() {
 		return &UnsupportedError{Feature: "streaming replay",
-			Reason: "the fault harness checksums a materialized trace; streaming runs cannot inject"}
+			Reason: "the recovery checks checksum and revalidate the whole trace around the replay; streaming runs cannot inject"}
 	}
 
 	if mode == ModeTiming {
@@ -255,91 +259,46 @@ func run(r Run, res *Result) (err error) {
 		return replayBlocks(sp, mode, WithProgress(src, r.Status), res)
 	}
 
-	if !fs.Enabled() {
-		// Fault-free replays run block-wise over the columnar cache — the
-		// call sequences (and therefore results) are identical to the
-		// materialized paths; only traces that cannot columnar-encode
-		// fall through to the legacy array-of-structs replay.
-		c, err := workload.CachedColumnar(r.Workload, r.MaxSteps)
-		if err == nil {
-			r.Status.SetTotal(int64(c.Len()))
-			return replayBlocks(sp, mode, WithProgress(c.Blocks(), r.Status), res)
-		}
-		if !errors.Is(err, trace.ErrNotColumnar) {
-			return err
-		}
+	// Every cached replay, faulted or not, runs block-wise over the
+	// columnar cache.
+	c, err := workload.CachedColumnar(r.Workload, r.MaxSteps)
+	if errors.Is(err, trace.ErrNotColumnar) {
+		return &UnsupportedError{Feature: "trace encoding",
+			Reason: fmt.Sprintf("replay runs over columnar traces only, and %s's trace does not encode (%v)", r.Workload, err)}
 	}
-
-	tr, err := workload.CachedTrace(r.Workload, r.MaxSteps)
 	if err != nil {
 		return err
 	}
-	// The legacy array-of-structs replay is not block-wise, so progress
-	// lands in one credit at completion — total is still published up
-	// front so surfaces can show the denominator.
-	r.Status.SetTotal(int64(tr.Len()))
-	switch mode {
-	case ModeExit:
-		p, err := sp.BuildExit()
-		if err != nil {
-			return err
-		}
-		if sp.SpecUpdate() {
-			if res.Exit, err = core.EvaluateExitSpec(tr, p, sp.SpecLag()); err != nil {
-				return err
-			}
-			break
-		}
-		res.Exit = core.EvaluateExit(tr, p)
-	case ModeTarget:
-		b, err := sp.BuildTarget()
-		if err != nil {
-			return err
-		}
-		res.Target = core.EvaluateIndirect(tr, b)
-	case ModeTask:
-		p, err := sp.BuildTask()
-		if err != nil {
-			return err
-		}
-		if p == nil {
-			return &UnsupportedError{Feature: "perfect predictor",
-				Reason: "only meaningful in timing runs (it has no replayable state)"}
-		}
-		if !fs.Enabled() {
-			if sp.SpecUpdate() {
-				res.Task, err = core.EvaluateTaskSpec(tr, p, sp.SpecLag())
-				if err != nil {
-					return err
-				}
-			} else {
-				res.Task = core.EvaluateTask(tr, p)
-			}
-			r.Status.AddSteps(int64(tr.Len()))
-			return nil
-		}
-		// Faulted task replay: wrap in the injector and hold the run to
-		// the recovery invariants — the trace oracle must come through
-		// untouched and unshortened (panics are caught by the outer
-		// recover and surface as *fault.PanicError).
-		inj, err := fault.New(fs, p)
-		if err != nil {
-			return err
-		}
-		sum := fault.Checksum(tr)
-		res.Task = core.EvaluateTask(tr, inj)
-		res.Injection, res.Faulted = inj.Stats(), true
-		if want := tr.PredictionSteps(); res.Task.Steps != want {
-			return fmt.Errorf("engine: faulted replay scored %d steps, oracle has %d", res.Task.Steps, want)
-		}
-		if fault.Checksum(tr) != sum {
-			return fmt.Errorf("engine: trace contents changed during faulted replay")
-		}
-		if err := tr.Validate(); err != nil {
-			return fmt.Errorf("engine: trace no longer validates after faulted replay: %w", err)
-		}
+	r.Status.SetTotal(int64(c.Len()))
+	src := WithProgress(c.Blocks(), r.Status)
+	if fs.Enabled() {
+		return replayFaulted(sp, fs, c, src, res)
 	}
-	r.Status.AddSteps(int64(tr.Len()))
+	return replayBlocks(sp, mode, src, res)
+}
+
+// replayFaulted evaluates one faulted task run: the spec's task
+// predictor, wrapped in fault injection, replays src (the blocks of the
+// oracle c) under fault.ReplayTask's recovery invariants. Panics are
+// caught by run's recover and surface as *fault.PanicError.
+func replayFaulted(sp *Spec, fs fault.Spec, c *trace.Columnar, src trace.BlockSource, res *Result) error {
+	p, err := sp.BuildTask()
+	if err != nil {
+		return err
+	}
+	if p == nil {
+		return &UnsupportedError{Feature: "perfect predictor",
+			Reason: "only meaningful in timing runs (it has no replayable state)"}
+	}
+	inj, err := fault.New(fs, p)
+	if err != nil {
+		return err
+	}
+	res.Task, err = fault.ReplayTask(c, src, inj)
+	res.Injection, res.Faulted = inj.Stats(), true
+	if err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
 	return nil
 }
 

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/trace"
@@ -110,55 +109,63 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v", e.Value)
 }
 
-// Checksum fingerprints a trace's prediction-relevant contents. The
-// harness (and the engine's faulted runs) compare checksums before and
-// after a replay to prove the injector never wrote through to shared
-// trace state.
-func Checksum(tr *trace.Trace) uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
-	for _, s := range tr.Steps {
-		buf[0] = byte(s.Task)
-		buf[1] = byte(s.Task >> 8)
-		buf[2] = byte(s.Task >> 16)
-		buf[3] = byte(s.Task >> 24)
-		buf[4] = byte(s.Exit)
-		buf[5] = byte(s.Target)
-		buf[6] = byte(s.Target >> 8)
-		buf[7] = byte(s.Target >> 16)
-		buf[8] = byte(s.Target >> 24)
-		h.Write(buf[:])
+// ReplayTask runs one faulted task replay and holds it to the recovery
+// invariants. src must yield the blocks of c, the trace oracle (c.Blocks,
+// possibly wrapped to report progress). The oracle drives control flow;
+// inj only predicts, exactly as the sequencer's prediction hardware only
+// ever hints. After the replay three checks must hold, and the first that
+// fails comes back as the error:
+//
+//  1. the replay scored exactly the oracle's prediction steps;
+//  2. the oracle's checksum is unchanged, so nothing wrote through to the
+//     shared columns or dictionary;
+//  3. the oracle still validates against its TFG.
+//
+// This is the one implementation of those checks: the engine's faulted
+// runs and CheckRecovery both call it. Panics are not recovered here.
+func ReplayTask(c *trace.Columnar, src trace.BlockSource, inj *Injector) (core.TaskResult, error) {
+	sum := c.Checksum()
+	res, err := core.EvaluateTaskBlocks(src, inj)
+	if err != nil {
+		return res, err
 	}
-	return h.Sum64()
+	if want := c.PredictionSteps(); res.Steps != want {
+		return res, fmt.Errorf("faulted replay scored %d steps, oracle has %d", res.Steps, want)
+	}
+	if c.Checksum() != sum {
+		return res, fmt.Errorf("trace contents changed during faulted replay")
+	}
+	if err := c.Validate(); err != nil {
+		return res, fmt.Errorf("trace no longer validates against its TFG: %w", err)
+	}
+	return res, nil
 }
 
-// replayFaulted replays the trace through the injector, recovering any
-// panic into the report. The oracle (the trace) drives control flow; the
-// injector only predicts, exactly as the sequencer's prediction hardware
-// only ever hints.
-func replayFaulted(tr *trace.Trace, inj *Injector, rep *Report) {
+// replayFaulted runs ReplayTask over c's own blocks, recovering any panic
+// into the report and recording any invariant violation as divergence.
+func replayFaulted(c *trace.Columnar, inj *Injector, rep *Report) {
 	defer func() {
 		if v := recover(); v != nil {
 			rep.Panicked = &PanicError{Value: v}
 		}
 	}()
-	res := core.EvaluateTask(tr, inj)
+	res, err := ReplayTask(c, c.Blocks(), inj)
 	rep.FaultedMisses = res.Misses
-	if res.Steps != rep.Steps {
-		rep.Diverged = fmt.Errorf("faulted replay scored %d steps, oracle has %d", res.Steps, rep.Steps)
-	}
+	rep.Diverged = err
 }
 
 // CheckRecovery runs the full recovery-validation harness: a fault-free
-// baseline replay of mk()'s predictor over tr, then a faulted replay of a
-// fresh predictor under spec, verifying along the way that the trace
-// oracle is never mutated. The returned report carries both miss counts
-// and the injection stats; call Report.Check for the invariant verdict.
-func CheckRecovery(tr *trace.Trace, mk func() core.TaskPredictor, spec Spec) (Report, error) {
-	rep := Report{Spec: spec, Steps: tr.PredictionSteps()}
+// baseline replay of mk()'s predictor over c, then a faulted replay of a
+// fresh predictor under spec through ReplayTask. The returned report
+// carries both miss counts and the injection stats; call Report.Check
+// for the invariant verdict.
+func CheckRecovery(c *trace.Columnar, mk func() core.TaskPredictor, spec Spec) (Report, error) {
+	rep := Report{Spec: spec, Steps: c.PredictionSteps()}
 
-	sum := Checksum(tr)
-	base := core.EvaluateTask(tr, mk())
+	base, err := core.EvaluateTaskBlocks(c.Blocks(), mk())
+	if err != nil {
+		return rep, err
+	}
 	rep.BaselineMisses = base.Misses
 
 	inj, err := New(spec, mk())
@@ -166,16 +173,7 @@ func CheckRecovery(tr *trace.Trace, mk func() core.TaskPredictor, spec Spec) (Re
 		return rep, err
 	}
 	rep.Predictor = inj.Name()
-	replayFaulted(tr, inj, &rep)
+	replayFaulted(c, inj, &rep)
 	rep.Injection = inj.Stats()
-
-	if rep.Diverged == nil && Checksum(tr) != sum {
-		rep.Diverged = fmt.Errorf("trace contents changed during faulted replay")
-	}
-	if rep.Diverged == nil {
-		if err := tr.Validate(); err != nil {
-			rep.Diverged = fmt.Errorf("trace no longer validates against its TFG: %w", err)
-		}
-	}
 	return rep, nil
 }

@@ -18,10 +18,10 @@ import (
 func TestRecoveryInvariants(t *testing.T) {
 	rates := []string{"all=0.001", "all=0.01,seed=5", "all=0.1", "all=1"}
 	for _, wname := range []string{"exprc", "compressb", "boolmin"} {
-		tr := testTrace(t, wname, 6000)
+		c := testColumnar(t, wname, 6000)
 		for _, s := range rates {
 			spec := fault.MustSpec(s)
-			rep, err := fault.CheckRecovery(tr, fullPredictor, spec)
+			rep, err := fault.CheckRecovery(c, fullPredictor, spec)
 			if err != nil {
 				t.Fatalf("%s %s: %v", wname, s, err)
 			}
@@ -99,7 +99,7 @@ func (p *panicky) Predict(t *tfg.Task) core.Prediction {
 func (p *panicky) Update(t *tfg.Task, o core.Outcome) {}
 
 func TestCheckRecoveryContainsPanics(t *testing.T) {
-	tr := testTrace(t, "exprc", 2000)
+	c := testColumnar(t, "exprc", 2000)
 
 	// CheckRecovery calls mk twice — baseline first, then the faulted
 	// replay. Hand it a clean baseline and a predictor that blows up
@@ -113,7 +113,7 @@ func TestCheckRecoveryContainsPanics(t *testing.T) {
 		}
 		return &panicky{at: 50}
 	}
-	rep, err := fault.CheckRecovery(tr, mk, fault.MustSpec("upd=0.5"))
+	rep, err := fault.CheckRecovery(c, mk, fault.MustSpec("upd=0.5"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"multiscalar/internal/core"
 	"multiscalar/internal/obs"
@@ -108,9 +109,40 @@ func (s Stats) String() string {
 type Injector struct {
 	spec  Spec
 	inner core.TaskPredictor
+	name  string
 	rng   rng
-	stats Stats
+	// rnd is rng.intn bound once: a method value taken per Predict
+	// escapes into the corruption hooks and allocates every step.
+	rnd func(int) int
+	// thresh holds each kind's roll threshold (rollThreshold).
+	thresh [NumKinds]uint64
+	stats  Stats
 }
+
+// alwaysRoll is the threshold of a rate of 1: the kind fires without
+// drawing from the RNG.
+const alwaysRoll = math.MaxUint64
+
+// rollThreshold converts a rate in [0, 1] into an integer roll
+// threshold: 0 never fires, alwaysRoll fires without a draw, and any
+// other t fires on a draw x exactly when uint64(x) < t. For a rate r in
+// (0, 1), t = ceil(r·2^32) reproduces the float test float64(x)/2^32 < r
+// bit for bit: x/2^32 and r·2^32 are exact in float64 (scaling by a power
+// of two), so the test is x < r·2^32, and an integer is below a real
+// exactly when it is below the real's ceiling.
+func rollThreshold(r float64) uint64 {
+	switch {
+	case r <= 0:
+		return 0
+	case r >= 1:
+		return alwaysRoll
+	}
+	return uint64(math.Ceil(r * (1 << 32)))
+}
+
+// hit reports whether draw x fires a roll whose threshold t is neither 0
+// nor alwaysRoll.
+func hit(x uint32, t uint64) bool { return uint64(x) < t }
 
 // New wraps inner with fault injection per spec. A zero (disabled) spec
 // is legal and makes the injector a transparent proxy.
@@ -121,7 +153,13 @@ func New(spec Spec, inner core.TaskPredictor) (*Injector, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{spec: spec, inner: inner, rng: newRNG(spec.Seed)}, nil
+	inj := &Injector{spec: spec, inner: inner, rng: newRNG(spec.Seed),
+		name: fmt.Sprintf("fault(%s)+%s", spec, inner.Name())}
+	inj.rnd = inj.rng.intn
+	for k, r := range spec.Rate {
+		inj.thresh[k] = rollThreshold(r)
+	}
+	return inj, nil
 }
 
 // MustNew is New for statically-known specs; it panics iff New errors
@@ -135,9 +173,7 @@ func MustNew(spec Spec, inner core.TaskPredictor) *Injector {
 }
 
 // Name implements core.TaskPredictor.
-func (i *Injector) Name() string {
-	return fmt.Sprintf("fault(%s)+%s", i.spec, i.inner.Name())
-}
+func (i *Injector) Name() string { return i.name }
 
 // Inner returns the wrapped predictor.
 func (i *Injector) Inner() core.TaskPredictor { return i.inner }
@@ -160,11 +196,11 @@ func (i *Injector) Reset() {
 
 // roll decides whether kind k fires this step.
 func (i *Injector) roll(k Kind) bool {
-	r := i.spec.Rate[k]
-	if r <= 0 {
+	t := i.thresh[k]
+	if t == 0 {
 		return false
 	}
-	if r < 1 && i.rng.float64() >= r {
+	if t != alwaysRoll && !hit(i.rng.next(), t) {
 		return false
 	}
 	i.stats.Kind[k].Rolled++
@@ -187,16 +223,14 @@ func (i *Injector) inject(k Kind, ok bool) {
 // Predict implements core.TaskPredictor: state faults strike first, then
 // the (possibly injured) wrapped predictor answers.
 func (i *Injector) Predict(t *tfg.Task) core.Prediction {
-	rnd := i.rng.intn
-
 	if i.roll(KindCounter) {
 		ok := false
 		if h, is := i.inner.(exitHolder); is {
 			if c, is := h.Exit().(counterCorrupter); is {
-				ok = c.CorruptCounter(rnd)
+				ok = c.CorruptCounter(i.rnd)
 			}
 		} else if c, is := i.inner.(counterCorrupter); is {
-			ok = c.CorruptCounter(rnd)
+			ok = c.CorruptCounter(i.rnd)
 		}
 		i.inject(KindCounter, ok)
 	}
@@ -205,12 +239,12 @@ func (i *Injector) Predict(t *tfg.Task) core.Prediction {
 		ok := false
 		if h, is := i.inner.(exitHolder); is {
 			if c, is := h.Exit().(historyCorrupter); is {
-				ok = c.CorruptHistory(rnd)
+				ok = c.CorruptHistory(i.rnd)
 			}
 		}
 		if h, is := i.inner.(bufferHolder); is {
 			if c, is := h.Buffer().(historyCorrupter); is {
-				ok = c.CorruptHistory(rnd) || ok
+				ok = c.CorruptHistory(i.rnd) || ok
 			}
 		}
 		i.inject(KindHistory, ok)
@@ -220,7 +254,7 @@ func (i *Injector) Predict(t *tfg.Task) core.Prediction {
 		ok := false
 		if h, is := i.inner.(rasHolder); is {
 			if s := h.RAS(); s != nil {
-				ok = s.Corrupt(rnd)
+				ok = s.Corrupt(i.rnd)
 			}
 		}
 		i.inject(KindRAS, ok)
@@ -230,7 +264,7 @@ func (i *Injector) Predict(t *tfg.Task) core.Prediction {
 		ok := false
 		if h, is := i.inner.(bufferHolder); is {
 			if c, is := h.Buffer().(entryCorrupter); is {
-				ok = c.CorruptEntry(rnd)
+				ok = c.CorruptEntry(i.rnd)
 			}
 		}
 		i.inject(KindTTB, ok)
@@ -276,8 +310,4 @@ func (r *rng) intn(n int) int {
 		return 0
 	}
 	return int(r.next() % uint32(n))
-}
-
-func (r *rng) float64() float64 {
-	return float64(r.next()) / (1 << 32)
 }

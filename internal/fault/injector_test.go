@@ -26,6 +26,17 @@ func testTrace(t testing.TB, name string, steps int) *trace.Trace {
 	return tr
 }
 
+// testColumnar returns a bounded columnar trace for a workload, shared
+// read-only through the process-wide cache.
+func testColumnar(t testing.TB, name string, steps int) *trace.Columnar {
+	t.Helper()
+	c, err := workload.CachedColumnar(name, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // fullSpec is the composed predictor every fault kind can reach:
 // path-based exit prediction, a RAS, and a CTTB.
 const fullSpec = "composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3"

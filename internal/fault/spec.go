@@ -21,9 +21,12 @@
 //   - upd:  lost delayed updates — training outcomes that never make it
 //     back from the execution ring to the sequencer.
 //
-// The recovery harness (CheckRecovery) replays a faulted predictor
-// against the trace oracle and checks the degradation invariants: no
-// panic, no divergence, accuracy loss only.
+// ReplayTask replays a faulted predictor against a columnar trace oracle
+// and enforces the recovery invariants (step count, unchanged checksum,
+// revalidation against the TFG); the engine's faulted runs and the
+// recovery harness (CheckRecovery) both run it. CheckRecovery adds the
+// degradation invariants: no panic, visible injection, accuracy loss
+// only.
 package fault
 
 import (

@@ -19,13 +19,13 @@ const BlockSteps = 4096
 // can reference: step columns store 16-bit dictionary indices, which is
 // what makes the in-memory encoding 5 bytes per step. Traces over
 // programs with more than 64Ki distinct task/target addresses are not
-// columnar-encodable and replay through the resolved fallback path.
+// columnar-encodable (ErrNotColumnar).
 const DictLimit = 1 << 16
 
 // ErrNotColumnar marks a trace that cannot be columnar-encoded (unknown
 // task addresses, out-of-range exits, or a dictionary past DictLimit).
-// Callers fall back to the array-of-structs replay paths, exactly as
-// resolution failures fall back to the unresolved reference loop.
+// The engine reports it as an unsupported configuration; the experiment
+// loaders fall back to the array-of-structs trace.
 var ErrNotColumnar = errors.New("trace: not columnar-encodable")
 
 // DictEntry is one interned address of a columnar trace: the address
@@ -203,8 +203,8 @@ func (c *Columnar) Prefix(n int) *Columnar {
 }
 
 // Materialize decodes the columns back into an array-of-structs Trace
-// (the adapter view for callers that need Steps: validation, checksums,
-// per-step attribution studies). The round trip is lossless.
+// (the adapter view for callers that need Steps, such as per-step
+// attribution studies). The round trip is lossless.
 func (c *Columnar) Materialize() *Trace {
 	steps := make([]Step, c.Len())
 	entries := c.Dict.Entries
@@ -217,6 +217,116 @@ func (c *Columnar) Materialize() *Trace {
 		}
 	}
 	return &Trace{Graph: c.Graph, Steps: steps}
+}
+
+// FNV-64 parameters for Checksum. The prime is odd, so each word step
+// h = (h ^ w) * prime is a bijection of h.
+const (
+	checksumOffset = 14695981039346656037
+	checksumPrime  = 1099511628211
+)
+
+// Checksum fingerprints the trace's contents: its length, the three step
+// columns packed into 64-bit words, and every dictionary address, one
+// word each. Because every word step is a bijection of the running hash,
+// two traces of equal length that differ in a single column entry or
+// dictionary address always hash differently. The fault harness compares
+// checksums before and after a replay to prove the injector never wrote
+// through to shared trace state.
+func (c *Columnar) Checksum() uint64 {
+	h := mixWord(checksumOffset, uint64(len(c.exits)))
+	h = hashU16(h, c.taskIdx)
+	h = hashI8(h, c.exits)
+	h = hashU16(h, c.targetIdx)
+	entries := c.Dict.Entries
+	h = mixWord(h, uint64(len(entries)))
+	for i := range entries {
+		h = mixWord(h, uint64(entries[i].Addr))
+	}
+	return h
+}
+
+func mixWord(h, w uint64) uint64 { return (h ^ w) * checksumPrime }
+
+// hashU16 mixes a uint16 column into h four entries per word, the tail
+// zero-padded (the length is mixed in separately).
+func hashU16(h uint64, col []uint16) uint64 {
+	i := 0
+	for ; i+4 <= len(col); i += 4 {
+		h = mixWord(h, uint64(col[i])|uint64(col[i+1])<<16|uint64(col[i+2])<<32|uint64(col[i+3])<<48)
+	}
+	if i < len(col) {
+		var w uint64
+		for j, v := range col[i:] {
+			w |= uint64(v) << (16 * j)
+		}
+		h = mixWord(h, w)
+	}
+	return h
+}
+
+// hashI8 mixes an int8 column into h eight entries per word.
+func hashI8(h uint64, col []int8) uint64 {
+	i := 0
+	for ; i+8 <= len(col); i += 8 {
+		w := uint64(uint8(col[i])) | uint64(uint8(col[i+1]))<<8 |
+			uint64(uint8(col[i+2]))<<16 | uint64(uint8(col[i+3]))<<24 |
+			uint64(uint8(col[i+4]))<<32 | uint64(uint8(col[i+5]))<<40 |
+			uint64(uint8(col[i+6]))<<48 | uint64(uint8(col[i+7]))<<56
+		h = mixWord(h, w)
+	}
+	if i < len(col) {
+		var w uint64
+		for j, v := range col[i:] {
+			w |= uint64(uint8(v)) << (8 * j)
+		}
+		h = mixWord(h, w)
+	}
+	return h
+}
+
+// Validate is Trace.Validate over the columns: the same checks, in the
+// same order, with the same messages. The dictionary's cached task
+// pointers are not trusted; each entry's address is resolved through
+// Graph.TaskAt once per call, and every step is then checked against the
+// resolved tasks.
+func (c *Columnar) Validate() error {
+	if c.Graph == nil {
+		return fmt.Errorf("trace: columnar trace is not bound to a graph")
+	}
+	entries := c.Dict.Entries
+	tasks := make([]*tfg.Task, len(entries))
+	for i := range entries {
+		tasks[i] = c.Graph.TaskAt(entries[i].Addr)
+	}
+	last := len(c.exits) - 1
+	for i, e := range c.exits {
+		ti := c.taskIdx[i]
+		t := tasks[ti]
+		if t == nil {
+			return fmt.Errorf("trace: step %d: no task @%d", i, entries[ti].Addr)
+		}
+		if e == HaltExit {
+			if i != last {
+				return fmt.Errorf("trace: step %d: halt before end of trace", i)
+			}
+			continue
+		}
+		addr := entries[ti].Addr
+		if e < 0 || int(e) >= len(t.Exits) {
+			return fmt.Errorf("trace: step %d: task @%d exit %d of %d", i, addr, e, len(t.Exits))
+		}
+		gi := c.targetIdx[i]
+		target := entries[gi].Addr
+		if spec := t.Exits[e]; spec.HasTarget && spec.Target != target {
+			return fmt.Errorf("trace: step %d: task @%d exit %d target @%d != header @%d",
+				i, addr, e, target, spec.Target)
+		}
+		if tasks[gi] == nil {
+			return fmt.Errorf("trace: step %d: target @%d is not a task", i, target)
+		}
+	}
+	return nil
 }
 
 // DistinctTasks returns the number of distinct static tasks appearing in

@@ -9,10 +9,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"multiscalar/internal/isa"
+	"multiscalar/internal/tfg"
 )
 
 func mustColumnar(t testing.TB, tr *Trace) *Columnar {
@@ -366,4 +369,89 @@ func FuzzColumnarRead(f *testing.F) {
 			t.Fatalf("parsed %d steps from %d bytes", c.Len(), len(data))
 		}
 	})
+}
+
+// TestColumnarChecksumDetectsFlips plants a one-entry change in a
+// private copy of each column and of the dictionary, at the first, a
+// middle and the last position (full words and the zero-padded tail
+// alike): every one must change the checksum, and the untouched copy
+// must not.
+func TestColumnarChecksumDetectsFlips(t *testing.T) {
+	c := mustColumnar(t, pingPong(601)) // 1203 steps: no column is a whole number of words
+	sum := c.Checksum()
+	if cp := *c; cp.Checksum() != sum {
+		t.Fatal("an untouched copy hashes differently")
+	}
+	flips := map[string]func(cp *Columnar, i int) int{
+		"taskIdx": func(cp *Columnar, i int) int {
+			cp.taskIdx = slices.Clone(cp.taskIdx)
+			i %= len(cp.taskIdx)
+			cp.taskIdx[i] ^= 1
+			return i
+		},
+		"exits": func(cp *Columnar, i int) int {
+			cp.exits = slices.Clone(cp.exits)
+			i %= len(cp.exits)
+			cp.exits[i] ^= 1
+			return i
+		},
+		"targetIdx": func(cp *Columnar, i int) int {
+			cp.targetIdx = slices.Clone(cp.targetIdx)
+			i %= len(cp.targetIdx)
+			cp.targetIdx[i] ^= 0x100
+			return i
+		},
+		"dict": func(cp *Columnar, i int) int {
+			cp.Dict = &Dict{Entries: slices.Clone(cp.Dict.Entries)}
+			i %= len(cp.Dict.Entries)
+			cp.Dict.Entries[i].Addr ^= 1 << 20
+			return i
+		},
+	}
+	for name, flip := range flips {
+		for _, pos := range []int{0, c.Len() / 2, c.Len() - 1} {
+			cp := *c
+			i := flip(&cp, pos)
+			if cp.Checksum() == sum {
+				t.Errorf("%s[%d] flipped: checksum unchanged", name, i)
+			}
+			if c.Checksum() != sum {
+				t.Fatalf("%s[%d] flip wrote through to the original", name, i)
+			}
+		}
+	}
+}
+
+// TestColumnarValidateMatchesTrace runs TestValidateRejects' mutations
+// through the columnar encoding: Columnar.Validate must fail exactly
+// where Trace.Validate does, with the same message.
+func TestColumnarValidateMatchesTrace(t *testing.T) {
+	if err := mustColumnar(t, pingPong(3)).Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	mutations := []func(g *tfg.Graph){
+		func(g *tfg.Graph) { delete(g.Tasks, 2) }, // a target that starts no task
+		func(g *tfg.Graph) { // a header target the trace contradicts
+			t1 := *g.Tasks[1]
+			t1.Exits = slices.Clone(t1.Exits)
+			t1.Exits[0].Target = 7
+			g.Tasks[1] = &t1
+		},
+		func(g *tfg.Graph) { // an exit index past the header
+			t2 := *g.Tasks[2]
+			t2.Exits = nil
+			g.Tasks[2] = &t2
+		},
+	}
+	for i, mutate := range mutations {
+		c := mustColumnar(t, pingPong(3))
+		g := *c.Graph
+		g.Tasks = maps.Clone(g.Tasks)
+		mutate(&g)
+		c.Graph = &g
+		got, want := c.Validate(), c.Materialize().Validate()
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("mutation %d: Columnar.Validate = %v, Trace.Validate = %v", i, got, want)
+		}
+	}
 }

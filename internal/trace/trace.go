@@ -93,7 +93,7 @@ func (tr *Trace) Validate() error {
 			}
 			continue
 		}
-		if int(s.Exit) >= len(t.Exits) {
+		if s.Exit < 0 || int(s.Exit) >= len(t.Exits) {
 			return fmt.Errorf("trace: step %d: task @%d exit %d of %d", i, s.Task, s.Exit, len(t.Exits))
 		}
 		spec := t.Exits[s.Exit]

@@ -222,8 +222,7 @@ func (w *Workload) TraceN(maxSteps int) (*trace.Trace, error) {
 // budgetMemo's contract, so each (workload, truncation) pair is
 // materialized at most once no matter how many experiments or concurrent
 // workers replay it. The returned trace is shared: replays must treat it
-// as read-only (predictor evaluation does; the fault harness proves it
-// with checksums).
+// as read-only (predictor evaluation does).
 //
 // Every cap at or beyond the full run's length returns the one full
 // trace, and a truncation within a trace already materialized shares its
