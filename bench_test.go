@@ -289,6 +289,24 @@ func BenchmarkEvaluateTaskComposed(b *testing.B) {
 	reportPerStep(b, tr)
 }
 
+// BenchmarkEvaluateTaskComposedBlocks replays the standard composed
+// predictor over the columnar cache, the path engine.Run takes: the
+// devirtualized composed step of HeaderPredictor.ReplayTaskBlock.
+func BenchmarkEvaluateTaskComposedBlocks(b *testing.B) {
+	c := benchColumnarTrace(b, "minilisp")
+	p := engine.MustBuild(experiments.StdSpec())
+	if _, err := core.EvaluateTaskBlocks(c.Blocks(), p); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.EvaluateTaskBlocks(c.Blocks(), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerStepN(b, c.PredictionSteps())
+}
+
 func BenchmarkEvaluateTaskComposedUnresolved(b *testing.B) {
 	tr, _ := benchResolvedTrace(b, "minilisp")
 	p := engine.MustBuild("composed:path:d7-o5-l6-c6-f3:leh2:ras32:cttb:d7-o4-l4-c5-f3")

@@ -146,35 +146,15 @@ func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, err
 		if b == nil {
 			break
 		}
+		var s, em, m int
 		if isFast {
-			s, em, m := fast.ReplayTaskBlock(b, &byKind)
-			steps += s
-			exitMisses += em
-			misses += m
-			continue
+			s, em, m = fast.ReplayTaskBlock(b, &byKind)
+		} else {
+			s, em, m = replayTaskBlock(b, p, &byKind)
 		}
-		entries := b.Dict.Entries
-		taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
-		for i := 0; i < b.N; i++ {
-			e := exits[i]
-			if e == trace.HaltExit {
-				continue
-			}
-			ent := &entries[taskIdx[i]]
-			target := entries[targetIdx[i]].Addr
-			pred := p.Predict(ent.Task)
-			steps++
-			km := &byKind[ent.Kinds[e]]
-			km.Steps++
-			if pred.Exit >= 0 && pred.Exit != int(e) {
-				exitMisses++
-			}
-			if pred.Target != target {
-				misses++
-				km.Misses++
-			}
-			p.Update(ent.Task, Outcome{Exit: int(e), Target: target})
-		}
+		steps += s
+		exitMisses += em
+		misses += m
 	}
 	res.Steps, res.ExitMisses, res.Misses = steps, exitMisses, misses
 	res.ByKind = make(map[isa.ControlKind]KindMisses)
@@ -185,6 +165,34 @@ func EvaluateTaskBlocks(src trace.BlockSource, p TaskPredictor) (TaskResult, err
 	}
 	recordTaskResult(res)
 	return res, nil
+}
+
+// replayTaskBlock is the generic task-replay loop over one block: one
+// Predict and one Update per prediction step.
+func replayTaskBlock(b *trace.Block, p TaskPredictor, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int) {
+	entries := b.Dict.Entries
+	taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
+	for i := 0; i < b.N; i++ {
+		e := exits[i]
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		target := entries[targetIdx[i]].Addr
+		pred := p.Predict(ent.Task)
+		steps++
+		km := &byKind[ent.Kinds[e]]
+		km.Steps++
+		if pred.Exit >= 0 && pred.Exit != int(e) {
+			exitMisses++
+		}
+		if pred.Target != target {
+			misses++
+			km.Misses++
+		}
+		p.Update(ent.Task, Outcome{Exit: int(e), Target: target})
+	}
+	return steps, exitMisses, misses
 }
 
 // ReplayExitBlock implements ExitBlockReplayer for the real PATH

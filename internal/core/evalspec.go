@@ -107,20 +107,9 @@ func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (Ex
 		if b == nil {
 			break
 		}
-		entries := b.Dict.Entries
-		taskIdx, exits := b.TaskIdx, b.Exits
-		for i := 0; i < b.N; i++ {
-			e := exits[i]
-			if e == trace.HaltExit {
-				continue
-			}
-			t := entries[taskIdx[i]].Task
-			pred := s.Step(t, int(e))
-			steps++
-			if pred != int(e) {
-				misses++
-			}
-		}
+		st, m := s.replayBlock(b)
+		steps += st
+		misses += m
 	}
 	s.Finish()
 	res.Steps, res.Misses = steps, misses
@@ -233,27 +222,10 @@ func EvaluateTaskSpecBlocks(src trace.BlockSource, p TaskPredictor, lag int) (Ta
 		if b == nil {
 			break
 		}
-		entries := b.Dict.Entries
-		taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
-		for i := 0; i < b.N; i++ {
-			e := exits[i]
-			if e == trace.HaltExit {
-				continue
-			}
-			ent := &entries[taskIdx[i]]
-			target := entries[targetIdx[i]].Addr
-			pred := s.Step(ent.Task, Outcome{Exit: int(e), Target: target})
-			steps++
-			km := &byKind[ent.Kinds[e]]
-			km.Steps++
-			if pred.Exit >= 0 && pred.Exit != int(e) {
-				exitMisses++
-			}
-			if pred.Target != target {
-				misses++
-				km.Misses++
-			}
-		}
+		st, em, m := s.replayBlock(b, &byKind)
+		steps += st
+		exitMisses += em
+		misses += m
 	}
 	s.Finish()
 	res.Steps, res.ExitMisses, res.Misses = steps, exitMisses, misses

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"multiscalar/internal/isa"
@@ -102,21 +103,44 @@ func oracleExitPairs() []oraclePair[ExitPredictor] {
 }
 
 func oracleTaskPairs() []oraclePair[TaskPredictor] {
-	composed := func(name string, exit oraclePair[ExitPredictor]) oraclePair[TaskPredictor] {
+	// header composes an exit pair with a RAS of rasDepth entries (0 =
+	// none) and, when cttb is set, the depth-7 CTTB.
+	header := func(name string, exit oraclePair[ExitPredictor], rasDepth int, cttb bool) oraclePair[TaskPredictor] {
+		build := func(e ExitPredictor, buf TargetBuffer) TaskPredictor {
+			var ras *RAS
+			if rasDepth > 0 {
+				ras = NewRAS(rasDepth)
+			}
+			if !cttb {
+				buf = nil
+			}
+			return NewHeaderPredictor(name, e, ras, buf)
+		}
 		return oraclePair[TaskPredictor]{name: name,
-			flat: func() TaskPredictor {
-				return NewHeaderPredictor(name, exit.flat(), NewRAS(oracleRASSize), MustCTTB(oracleD7CTTB))
-			},
-			ref: func() TaskPredictor {
-				return NewHeaderPredictor(name, exit.ref(), NewRAS(oracleRASSize), newRefCTTB(oracleD7CTTB))
-			},
+			flat: func() TaskPredictor { return build(exit.flat(), MustCTTB(oracleD7CTTB)) },
+			ref:  func() TaskPredictor { return build(exit.ref(), newRefCTTB(oracleD7CTTB)) },
 		}
 	}
+	std := pathPair("", oracleD7Exit, LEH2, oracleSSE)
+	// An ideal exit component has no reference twin; it runs on both
+	// sides and takes the composed kernel's generic fallback.
+	ideal := oraclePair[ExitPredictor]{
+		flat: func() ExitPredictor { return NewIdealPath(7, LEH2) },
+		ref:  func() ExitPredictor { return NewIdealPath(7, LEH2) },
+	}
+	// Beyond the standard compositions, the pairs reach every arm of
+	// the composed kernel's type switch — PATH, GLOBAL and PER exits;
+	// RAS and CTTB each present or absent; a one-entry RAS that
+	// overflows on every nested call — and its generic fallback.
 	ps := []oraclePair[TaskPredictor]{
-		composed("composed:std", pathPair("", oracleD7Exit, LEH2, oracleSSE)),
-		composed("composed:simple", pathPair("", oracleExitDOLC[0], LEH2, oracleSSE)),
-		composed("composed:global", globalPair(LEH2)),
-		composed("composed:per", perPair(LEH2)),
+		header("composed:std", std, oracleRASSize, true),
+		header("composed:simple", pathPair("", oracleExitDOLC[0], LEH2, oracleSSE), oracleRASSize, true),
+		header("composed:global", globalPair(LEH2), oracleRASSize, true),
+		header("composed:per", perPair(LEH2), oracleRASSize, true),
+		header("composed:noras", std, 0, true),
+		header("composed:nocttb", std, oracleRASSize, false),
+		header("composed:ras1", std, 1, true),
+		header("composed:ipath", ideal, oracleRASSize, true),
 	}
 	for _, d := range oracleCTTBDOLC {
 		ps = append(ps, oraclePair[TaskPredictor]{name: fmt.Sprintf("cttb:%v", d),
@@ -301,29 +325,37 @@ func runExitOracle(t *testing.T, wl string, steps []oracleStep, pair oraclePair[
 			die.corruptExits(flat, ref)
 		}
 	}
-	switch {
-	case mode >= 0:
+	if mode >= 0 {
 		fs.Finish()
 		rs.Finish()
 		if fs.Rollbacks() != rs.Rollbacks() || flat.States() != ref.States() {
 			t.Fatalf("%s: after Finish: rollbacks %d/%d, States %d/%d", name,
 				fs.Rollbacks(), rs.Rollbacks(), flat.States(), ref.States())
 		}
-	case mode == -1:
-		// The block kernels (PathExit's ReplayExitBlock included) must
-		// reproduce the lockstep totals.
-		c, err := workload.CachedColumnar(wl, oracleSteps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := EvaluateExitBlocks(c.Blocks(), pair.flat())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Steps != predicted || res.Misses != misses || res.States != ref.States() {
-			t.Fatalf("%s: blocks %d steps %d misses %d states, lockstep %d %d %d", name,
-				res.Steps, res.Misses, res.States, predicted, misses, ref.States())
-		}
+	}
+	if mode == -2 {
+		return
+	}
+	// The block kernels (ReplayExitBlock and the spec session's exit
+	// kernel included) must reproduce the lockstep totals.
+	c, err := workload.CachedColumnar(wl, oracleSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ExitResult{Steps: predicted, Misses: misses, States: ref.States()}
+	var res ExitResult
+	if mode >= 0 {
+		res, err = EvaluateExitSpecBlocks(c.Blocks(), pair.flat(), mode)
+		want.Rollbacks, want.RepairFrames = rs.Rollbacks(), rs.RepairFrames()
+	} else {
+		res, err = EvaluateExitBlocks(c.Blocks(), pair.flat())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Name = ""
+	if res != want {
+		t.Fatalf("%s: blocks %+v, lockstep %+v", name, res, want)
 	}
 }
 
@@ -374,6 +406,7 @@ func runTaskOracle(t *testing.T, wl string, steps []oracleStep, pair oraclePair[
 			t.Fatalf("%s: step %d: buffer States flat %d, reference %d", name, i, fb.States(), rb.States())
 		}
 	}
+	want := TaskResult{ByKind: make(map[isa.ControlKind]KindMisses)}
 	for i, s := range steps {
 		if s.exit == int(trace.HaltExit) {
 			continue
@@ -391,6 +424,17 @@ func runTaskOracle(t *testing.T, wl string, steps []oracleStep, pair oraclePair[
 			t.Fatalf("%s: step %d: flat predicts %+v, reference %+v", name, i, fp, rp)
 		}
 		states(i)
+		want.Steps++
+		km := want.ByKind[s.task.Exits[s.exit].Kind]
+		km.Steps++
+		if fp.Exit >= 0 && fp.Exit != s.exit {
+			want.ExitMisses++
+		}
+		if fp.Target != s.target {
+			want.Misses++
+			km.Misses++
+		}
+		want.ByKind[s.task.Exits[s.exit].Kind] = km
 		if mode == -2 && die.r.Intn(8) == 0 {
 			switch die.r.Intn(3) {
 			case 0:
@@ -416,6 +460,44 @@ func runTaskOracle(t *testing.T, wl string, steps []oracleStep, pair oraclePair[
 				fs.Rollbacks(), rs.Rollbacks(), fs.RASDamage(), rs.RASDamage())
 		}
 		states(len(steps))
+		want.Rollbacks, want.RepairFrames, want.RASDamage = rs.Rollbacks(), rs.RepairFrames(), rs.RASDamage()
+	}
+	if mode != -2 {
+		checkTaskBlocks(t, name, wl, pair, mode, want, re, rb)
+	}
+}
+
+// checkTaskBlocks replays the lockstep's prefix through the block
+// kernels — EvaluateTaskBlocks for the idealized mode, EvaluateTaskSpecBlocks
+// at the lockstep's lag — on a fresh flat predictor, and requires the
+// lockstep's totals, per-kind accounting, spec repair counters and the
+// reference components' final States.
+func checkTaskBlocks(t *testing.T, name, wl string, pair oraclePair[TaskPredictor], mode int, want TaskResult, re ExitPredictor, rb TargetBuffer) {
+	t.Helper()
+	c, err := workload.CachedColumnar(wl, oracleSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pair.flat()
+	var res TaskResult
+	if mode >= 0 {
+		res, err = EvaluateTaskSpecBlocks(c.Blocks(), p, mode)
+	} else {
+		res, err = EvaluateTaskBlocks(c.Blocks(), p)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Name = ""
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("%s: blocks %+v, lockstep %+v", name, res, want)
+	}
+	fe, _, fb := taskParts(p)
+	if fe != nil && fe.States() != re.States() {
+		t.Fatalf("%s: blocks exit States %d, lockstep %d", name, fe.States(), re.States())
+	}
+	if fb != nil && fb.States() != rb.States() {
+		t.Fatalf("%s: blocks buffer States %d, lockstep %d", name, fb.States(), rb.States())
 	}
 }
 

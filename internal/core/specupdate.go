@@ -7,6 +7,7 @@ import (
 	"multiscalar/internal/isa"
 	"multiscalar/internal/obs"
 	"multiscalar/internal/tfg"
+	"multiscalar/internal/trace"
 )
 
 // Speculative update with checkpoint repair — the realistic replacement
@@ -447,6 +448,11 @@ type SpecExitSession struct {
 	head int
 	n    int
 
+	// kern is pred resolved for the devirtualized step (kernel.go),
+	// valid when fast is set.
+	kern exitKernel
+	fast bool
+
 	rollbacks    int
 	repairFrames int
 }
@@ -469,30 +475,77 @@ func NewSpecExitSession(p ExitPredictor, lag int) (*SpecExitSession, error) {
 	if lag < 0 {
 		lag = 0
 	}
-	return &SpecExitSession{
+	s := &SpecExitSession{
 		pred: sp,
 		lag:  lag,
 		win:  make([]specExitFrame, lag+1),
-	}, nil
+	}
+	s.kern, s.fast = resolveExit(p)
+	return s, nil
 }
 
 // Step predicts task t, speculatively trains the predictor with its own
 // prediction, and resolves the step that fell due. It returns the
 // prediction for scoring.
 func (s *SpecExitSession) Step(t *tfg.Task, actual int) int {
+	if s.fast {
+		return s.step(t, actual)
+	}
 	pred := s.pred.PredictExit(t)
 	mark := s.pred.MarkExit()
 	s.pred.SpecUpdateExit(t, pred)
+	s.push(specExitFrame{task: t, pred: int8(pred), act: int8(actual), mark: mark})
+	return pred
+}
+
+// step is Step through the devirtualized exit kernel: one index and one
+// PHT read shared by the prediction and its speculative update.
+func (s *SpecExitSession) step(t *tfg.Task, actual int) int {
+	var r exitRead
+	pred := s.kern.predict(t, &r)
+	mark := s.kern.undo().mark()
+	s.kern.update(t, &r, pred, true)
+	s.push(specExitFrame{task: t, pred: int8(pred), act: int8(actual), mark: mark})
+	return pred
+}
+
+// push windows frame f and resolves the oldest frame once it falls due.
+func (s *SpecExitSession) push(f specExitFrame) {
 	i := s.head + s.n
 	if i >= len(s.win) {
 		i -= len(s.win)
 	}
-	s.win[i] = specExitFrame{task: t, pred: int8(pred), act: int8(actual), mark: mark}
+	s.win[i] = f
 	s.n++
 	if s.n > s.lag {
 		s.resolveOldest()
 	}
-	return pred
+}
+
+// replayBlock steps every prediction step of b through the session,
+// returning the block's step and miss counts: the block kernel of
+// EvaluateExitSpecBlocks.
+func (s *SpecExitSession) replayBlock(b *trace.Block) (steps, misses int) {
+	entries := b.Dict.Entries
+	taskIdx, exits := b.TaskIdx, b.Exits
+	for i := 0; i < b.N; i++ {
+		e := exits[i]
+		if e == trace.HaltExit {
+			continue
+		}
+		t := entries[taskIdx[i]].Task
+		var pred int
+		if s.fast {
+			pred = s.step(t, int(e))
+		} else {
+			pred = s.Step(t, int(e))
+		}
+		steps++
+		if pred != int(e) {
+			misses++
+		}
+	}
+	return steps, misses
 }
 
 // Finish resolves every still-windowed outcome at trace end.
@@ -508,15 +561,23 @@ func (s *SpecExitSession) resolveOldest() {
 		// Correct: the oldest frame's speculative training becomes
 		// architectural. Its undo entries end where the next frame's
 		// begin (or at the current log head when it is alone).
-		next := s.pred.MarkExit()
+		var next SpecMark
 		if s.n > 1 {
 			j := s.head + 1
 			if j >= len(s.win) {
 				j -= len(s.win)
 			}
 			next = s.win[j].mark
+		} else if s.fast {
+			next = s.kern.undo().mark()
+		} else {
+			next = s.pred.MarkExit()
 		}
-		s.pred.CommitExit(next)
+		if s.fast {
+			s.kern.undo().commitTo(next)
+		} else {
+			s.pred.CommitExit(next)
+		}
 		s.head++
 		if s.head >= len(s.win) {
 			s.head = 0
@@ -577,6 +638,11 @@ type SpecTaskSession struct {
 	head int
 	n    int
 
+	// kern is pred resolved for the devirtualized composed step
+	// (kernel.go), valid when fast is set.
+	kern composedKernel
+	fast bool
+
 	rollbacks    int
 	repairFrames int
 	rasDamage    int
@@ -598,30 +664,97 @@ func NewSpecTaskSession(p TaskPredictor, lag int) (*SpecTaskSession, error) {
 	if lag < 0 {
 		lag = 0
 	}
-	return &SpecTaskSession{
+	s := &SpecTaskSession{
 		pred: sp,
 		lag:  lag,
 		win:  make([]specTaskFrame, lag+1),
-	}, nil
+	}
+	if h, ok := p.(*HeaderPredictor); ok {
+		s.kern, s.fast = h.kernel()
+	}
+	return s, nil
 }
 
 // Step predicts task t, speculatively trains the predictor with its own
 // prediction, and resolves the step that fell due. It returns the
 // prediction for scoring.
 func (s *SpecTaskSession) Step(t *tfg.Task, actual Outcome) Prediction {
+	if s.fast {
+		return s.step(t, actual)
+	}
+	f := s.next(t, actual)
 	pred := s.pred.Predict(t)
-	mark := s.pred.MarkTask()
+	f.pred = pred
+	f.mark = s.pred.MarkTask()
 	s.pred.SpecUpdate(t, pred)
+	s.admit()
+	return pred
+}
+
+// step is Step through the devirtualized composed kernel.
+func (s *SpecTaskSession) step(t *tfg.Task, actual Outcome) Prediction {
+	f := s.next(t, actual)
+	var r composedRead
+	pred := s.kern.predict(t, &r)
+	f.pred = pred
+	s.kern.markInto(&f.mark)
+	s.kern.update(t, &r, Outcome(pred), true)
+	s.admit()
+	return pred
+}
+
+// next returns the free window slot the step of task t fills in place.
+func (s *SpecTaskSession) next(t *tfg.Task, actual Outcome) *specTaskFrame {
 	i := s.head + s.n
 	if i >= len(s.win) {
 		i -= len(s.win)
 	}
-	s.win[i] = specTaskFrame{task: t, pred: pred, act: actual, mark: mark}
+	f := &s.win[i]
+	f.task, f.act = t, actual
+	return f
+}
+
+// admit windows the frame next returned and resolves the oldest
+// frame once it falls due.
+func (s *SpecTaskSession) admit() {
 	s.n++
 	if s.n > s.lag {
 		s.resolveOldest()
 	}
-	return pred
+}
+
+// replayBlock steps every prediction step of b through the session and
+// scores it, with the per-kind accounting accumulating into byKind: the
+// block kernel of EvaluateTaskSpecBlocks.
+func (s *SpecTaskSession) replayBlock(b *trace.Block, byKind *[isa.NumControlKinds]KindMisses) (steps, exitMisses, misses int) {
+	entries := b.Dict.Entries
+	taskIdx, exits, targetIdx := b.TaskIdx, b.Exits, b.TargetIdx
+	for i := 0; i < b.N; i++ {
+		e := exits[i]
+		if e == trace.HaltExit {
+			continue
+		}
+		ent := &entries[taskIdx[i]]
+		target := entries[targetIdx[i]].Addr
+		o := Outcome{Exit: int(e), Target: target}
+		var pred Prediction
+		if s.fast {
+			pred = s.step(ent.Task, o)
+		} else {
+			pred = s.Step(ent.Task, o)
+		}
+		steps++
+		km := &byKind[ent.Kinds[e]]
+		km.Steps++
+		if pred.Exit >= 0 && pred.Exit != int(e) {
+			exitMisses++
+		}
+		if pred.Target != target {
+			misses++
+			km.Misses++
+		}
+	}
+	return steps, exitMisses, misses
 }
 
 // Finish resolves every still-windowed outcome at trace end.
@@ -634,15 +767,25 @@ func (s *SpecTaskSession) Finish() {
 func (s *SpecTaskSession) resolveOldest() {
 	f := &s.win[s.head]
 	if f.pred.Target == f.act.Target && (f.pred.Exit < 0 || f.pred.Exit == f.act.Exit) {
-		next := s.pred.MarkTask()
+		// The mark is taken only when the frame is alone: otherwise
+		// the next frame's checkpoint bounds the entries to drop.
+		var next TaskMark
 		if s.n > 1 {
 			j := s.head + 1
 			if j >= len(s.win) {
 				j -= len(s.win)
 			}
 			next = s.win[j].mark
+		} else if s.fast {
+			s.kern.markInto(&next)
+		} else {
+			next = s.pred.MarkTask()
 		}
-		s.pred.CommitTask(next)
+		if s.fast {
+			s.kern.commit(&next)
+		} else {
+			s.pred.CommitTask(next)
+		}
 		s.head++
 		if s.head >= len(s.win) {
 			s.head = 0

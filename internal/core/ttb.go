@@ -137,8 +137,11 @@ func (b *CTTB) Reset() {
 }
 
 // Lookup implements TargetBuffer.
-func (b *CTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
-	target, ok := ttbLookup(b.entries[b.path.index(current)])
+func (b *CTTB) Lookup(current isa.Addr) (isa.Addr, bool) { return b.lookupAt(b.path.index(current)) }
+
+// lookupAt is Lookup at a computed index.
+func (b *CTTB) lookupAt(idx uint32) (isa.Addr, bool) {
+	target, ok := ttbLookup(b.entries[idx])
 	if obs.On() {
 		if ok {
 			obsCTTBHits.Inc()
@@ -153,7 +156,11 @@ func (b *CTTB) Lookup(current isa.Addr) (isa.Addr, bool) {
 func (b *CTTB) Train(current isa.Addr, actual isa.Addr) { b.train(current, actual, nil) }
 
 func (b *CTTB) train(current isa.Addr, actual isa.Addr, log *undoRing) {
-	idx := b.path.index(current)
+	b.trainAt(b.path.index(current), actual, log)
+}
+
+// trainAt is train at a computed index.
+func (b *CTTB) trainAt(idx uint32, actual isa.Addr, log *undoRing) {
 	v := b.entries[idx]
 	if log != nil {
 		log.push(specUndo{kind: undoTTBEntry, idx: idx, prev: v})

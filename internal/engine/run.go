@@ -52,7 +52,7 @@ func (m Mode) String() string {
 // Run is one cell of an evaluation grid: one workload replayed under one
 // predictor spec. The zero values of Mode, Fault, MaxSteps and
 // TimingSteps mean auto-derived mode, no injection, the full trace, and
-// the timing model's default budget.
+// a timing run to program halt.
 type Run struct {
 	// Workload is the workload name (workload.ByName).
 	Workload string
@@ -70,8 +70,8 @@ type Run struct {
 	Fault string
 	// MaxSteps truncates the trace (0 = full; replay modes only).
 	MaxSteps int
-	// TimingSteps bounds the timing run (ModeTiming only; 0 = the timing
-	// model's default).
+	// TimingSteps bounds the timing run (ModeTiming only; 0 = run the
+	// program to halt).
 	TimingSteps int
 	// Stream replays against a generated-on-the-fly block stream instead
 	// of a cached trace: functional simulation pipelines into the replay

@@ -26,8 +26,8 @@ type Config struct {
 	// MaxSteps truncates workload traces (0 = full traces, the default
 	// for reported results; tests use small values).
 	MaxSteps int
-	// TimingSteps bounds the timing simulation of Table 4 (default
-	// 400000 dynamic tasks per run).
+	// TimingSteps bounds every timing run: Table 4's and specupdate's
+	// IPC cells (0 = defaultTimingSteps dynamic tasks per run).
 	TimingSteps int
 	// Workers is the evaluation-grid worker pool size (0 = GOMAXPROCS).
 	// Output is byte-identical at any worker count; only wall-clock
@@ -35,9 +35,26 @@ type Config struct {
 	Workers int
 }
 
+// defaultTimingSteps is the timing budget a zero Config.TimingSteps
+// resolves to (mbench's -timing default). A variable only so the
+// resolution test can run at a small budget.
+var defaultTimingSteps = 400000
+
+// withDefaults resolves a Config's "0 = default" fields. It is applied
+// once, where runners are dispatched: every Runner that All and ByName
+// return resolves its Config before the experiment reads it, and the
+// resume journal keys completions by the same resolved Config
+// (journalKey), so one budget means one rendering and one journal line.
+// (Table4Data, which can be called without a Runner, resolves again;
+// resolving is idempotent.)
+//
+// mserve's timing_steps is a different contract and does not pass
+// through here: a served timing cell with timing_steps 0 (or omitted)
+// runs the program to halt, engine.Run's meaning of a zero
+// TimingSteps, and its response bodies are fixed by that.
 func (c Config) withDefaults() Config {
 	if c.TimingSteps == 0 {
-		c.TimingSteps = 400000
+		c.TimingSteps = defaultTimingSteps
 	}
 	return c
 }
@@ -49,9 +66,10 @@ type Runner struct {
 	Run   func(w io.Writer, cfg Config) error
 }
 
-// All lists the experiment runners in paper order.
+// All lists the experiment runners in paper order. Each resolves its
+// Config's defaults before running (see withDefaults).
 func All() []Runner {
-	return []Runner{
+	rs := []Runner{
 		{"table2", "benchmark task statistics (static/dynamic/distinct tasks)", Table2},
 		{"fig3", "number of exits per task, static and dynamic", Figure3},
 		{"fig4", "types of exit instructions, static and dynamic", Figure4},
@@ -73,6 +91,11 @@ func All() []Runner {
 		{"fault-sweep", "graceful degradation: task miss rate vs predictor-state fault rate", FaultSweep},
 		{"staticpred", "static dataflow warnings vs measured per-task mispredict rates", StaticPred},
 	}
+	for i := range rs {
+		run := rs[i].Run
+		rs[i].Run = func(w io.Writer, cfg Config) error { return run(w, cfg.withDefaults()) }
+	}
+	return rs
 }
 
 // ByName finds a runner.

@@ -218,3 +218,26 @@ func TestWorkerCountInvariance(t *testing.T) {
 		})
 	}
 }
+
+// TestRunnersResolveDefaults pins the run-configuration contract: a
+// runner renders the same bytes from a Config with zero ("default")
+// fields as from the resolved Config the journal keys it by. The
+// default timing budget is lowered for the test so every timing cell
+// stays small; the contract does not depend on its value.
+func TestRunnersResolveDefaults(t *testing.T) {
+	defer func(n int) { defaultTimingSteps = n }(defaultTimingSteps)
+	defaultTimingSteps = 3000
+	cfg := Config{MaxSteps: 4000}
+	for _, r := range All() {
+		var raw, resolved strings.Builder
+		if err := r.Run(&raw, cfg); err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		if err := r.Run(&resolved, cfg.withDefaults()); err != nil {
+			t.Fatalf("%s: %v", r.Name, err)
+		}
+		if raw.String() != resolved.String() {
+			t.Errorf("%s renders differently from Config%+v and its resolved form %+v", r.Name, cfg, cfg.withDefaults())
+		}
+	}
+}

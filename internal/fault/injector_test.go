@@ -45,6 +45,27 @@ func fullPredictor() core.TaskPredictor {
 	return engine.MustBuild(fullSpec)
 }
 
+// TestInjectorStaysOnGenericLoop pins that faulted replay keeps
+// EvaluateTaskBlocks' generic loop: the injector's rolls and corruption
+// hooks interleave with every Predict and Update, so the composed block
+// kernel must not be reachable through it.
+func TestInjectorStaysOnGenericLoop(t *testing.T) {
+	if _, ok := fullPredictor().(core.TaskBlockReplayer); !ok {
+		t.Fatal("the composed predictor lost its block kernel")
+	}
+	fs, err := fault.ParseSpec("all=1e-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(fs, fullPredictor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := any(inj).(core.TaskBlockReplayer); ok {
+		t.Fatal("fault.Injector replays blocks itself; faulted cells must stay on the generic loop")
+	}
+}
+
 func TestNewRejectsBadInput(t *testing.T) {
 	if _, err := fault.New(fault.Spec{}, nil); err == nil {
 		t.Fatal("New accepted a nil inner predictor")

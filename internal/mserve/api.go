@@ -46,7 +46,9 @@ type EvalRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// Steps truncates the replay trace (0 = full; replay modes only).
 	Steps int `json:"steps,omitempty"`
-	// TimingSteps bounds a timing run (timing mode only; 0 = default).
+	// TimingSteps bounds a timing run (timing mode only). 0 runs the
+	// program to halt: a served cell's contract, unlike mbench's
+	// Config, whose 0 resolves to a 400 000-task budget.
 	TimingSteps int `json:"timing_steps,omitempty"`
 	// TimeoutMS is the client's deadline for this request in
 	// milliseconds (0 = the server default; clamped to the server max).

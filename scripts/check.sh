@@ -90,6 +90,12 @@ go run ./scripts/checkjson -max-gauge mtrace.stream.peak_heap_bytes=33554432 \
 	"$OBS_TMP/mtrace-metrics.json" >/dev/null
 rm -f "$OBS_TMP/mtrace-metrics.json"
 
+echo "==> perfbench digest test (rendered tables vs perfbench/digests.json; metric list vs BENCHMARK.json)"
+# perfbench is its own module, so the root "go test ./..." never reaches
+# it. Same module environment as perfbench/run.sh: no proxy, the local
+# toolchain, no inherited GOFLAGS.
+(cd perfbench && GOFLAGS= GOPROXY=off GOTOOLCHAIN=local go test ./... >/dev/null)
+
 echo "==> benchmark smoke (one iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x . >/dev/null
 
