@@ -107,9 +107,20 @@ func EvaluateExitSpecBlocks(src trace.BlockSource, p ExitPredictor, lag int) (Ex
 		if b == nil {
 			break
 		}
-		st, m := s.replayBlock(b)
-		steps += st
-		misses += m
+		entries := b.Dict.Entries
+		taskIdx, exits := b.TaskIdx, b.Exits
+		for i := 0; i < b.N; i++ {
+			e := exits[i]
+			if e == trace.HaltExit {
+				continue
+			}
+			t := entries[taskIdx[i]].Task
+			pred := s.Step(t, int(e))
+			steps++
+			if pred != int(e) {
+				misses++
+			}
+		}
 	}
 	s.Finish()
 	res.Steps, res.Misses = steps, misses

@@ -124,13 +124,21 @@ func (p *PathExit) specErr() error {
 	return nil
 }
 
+// skips reports whether t bypasses the PHT: a single-exit task under
+// SkipSingleExit is predicted 0 and trains nothing.
+func (p *PathExit) skips(t *tfg.Task) bool { return p.opts.SkipSingleExit && t.SingleExit() }
+
 // PredictExit implements ExitPredictor.
 func (p *PathExit) PredictExit(t *tfg.Task) int {
-	if p.opts.SkipSingleExit && t.SingleExit() {
+	if p.skips(t) {
 		return 0
 	}
-	s := p.pht.at(p.path.index(t.Start), p.kind.initState())
-	return clampExit(p.kind.predictState(s, &p.rng), t)
+	return p.predictAt(t, p.path.index(t.Start))
+}
+
+// predictAt predicts t's exit from PHT entry idx, t's path index.
+func (p *PathExit) predictAt(t *tfg.Task, idx uint32) int {
+	return clampExit(p.kind.predictState(p.pht.at(idx, p.kind.initState()), &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -166,22 +174,32 @@ func (p *PathExit) pendPush(idx uint32, exit int) {
 // speculative update: with a nil log it is the paper's immediate update;
 // with a log every mutation records its inverse for checkpoint repair.
 func (p *PathExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	single := t.SingleExit()
-	if !(p.opts.SkipSingleExit && single) {
-		idx := p.path.index(t.Start)
+	var idx uint32
+	if !p.skips(t) {
+		idx = p.path.index(t.Start)
+	}
+	p.updateAt(t, idx, exit, log)
+}
+
+// updateAt is updateExit with t's path index idx already computed (unused
+// when skips(t)): it holds the order of every training step and undo
+// entry.
+func (p *PathExit) updateAt(t *tfg.Task, idx uint32, exit int, log *undoRing) {
+	if !p.skips(t) {
 		if p.opts.TrainLatency > 0 {
 			// Capture the context index now; train once the outcome has
 			// "travelled back" TrainLatency tasks later. (log is always
 			// nil here: specErr refuses TrainLatency under speculation.)
 			p.pendPush(idx, exit)
 		} else {
+			init := p.kind.initState()
 			if log != nil {
-				p.pht.logUpdate(log, idx, p.kind.initState())
+				p.pht.logUpdate(log, idx, init)
 			}
-			p.train(idx, exit)
+			p.pht.words[idx] = p.kind.updateState(p.pht.at(idx, init), exit)
 		}
 	}
-	if !(p.opts.SkipSingleExitHistory && single) {
+	if !(p.opts.SkipSingleExitHistory && t.SingleExit()) {
 		if log != nil {
 			logPathHist(log, &p.path.hist)
 		}
@@ -250,16 +268,23 @@ func (p *GlobalExit) index(addr isa.Addr) uint32 {
 }
 
 // PredictExit implements ExitPredictor.
-func (p *GlobalExit) PredictExit(t *tfg.Task) int {
-	s := p.pht.at(p.index(t.Start), p.kind.initState())
-	return clampExit(p.kind.predictState(s, &p.rng), t)
+func (p *GlobalExit) PredictExit(t *tfg.Task) int { return p.predictAt(t, p.index(t.Start)) }
+
+// predictAt predicts t's exit from PHT entry idx, t's index.
+func (p *GlobalExit) predictAt(t *tfg.Task, idx uint32) int {
+	return clampExit(p.kind.predictState(p.pht.at(idx, p.kind.initState()), &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
 func (p *GlobalExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil) }
 
 func (p *GlobalExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
-	idx := p.index(t.Start)
+	p.updateAt(p.index(t.Start), exit, log)
+}
+
+// updateAt is updateExit with the task's PHT index idx already computed:
+// it holds the order of every training step and undo entry.
+func (p *GlobalExit) updateAt(idx uint32, exit int, log *undoRing) {
 	init := p.kind.initState()
 	if log != nil {
 		p.pht.logUpdate(log, idx, init)
@@ -335,8 +360,12 @@ func (p *PerExit) phtIndex(addr isa.Addr, hist ExitHistory) uint32 {
 
 // PredictExit implements ExitPredictor.
 func (p *PerExit) PredictExit(t *tfg.Task) int {
-	s := p.pht.at(p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)]), p.kind.initState())
-	return clampExit(p.kind.predictState(s, &p.rng), t)
+	return p.predictAt(t, p.phtIndex(t.Start, p.hrt[p.hrtIndex(t.Start)]))
+}
+
+// predictAt predicts t's exit from PHT entry idx, t's index.
+func (p *PerExit) predictAt(t *tfg.Task, idx uint32) int {
+	return clampExit(p.kind.predictState(p.pht.at(idx, p.kind.initState()), &p.rng), t)
 }
 
 // UpdateExit implements ExitPredictor.
@@ -344,7 +373,13 @@ func (p *PerExit) UpdateExit(t *tfg.Task, exit int) { p.updateExit(t, exit, nil)
 
 func (p *PerExit) updateExit(t *tfg.Task, exit int, log *undoRing) {
 	h := p.hrtIndex(t.Start)
-	idx := p.phtIndex(t.Start, p.hrt[h])
+	p.updateAt(h, p.phtIndex(t.Start, p.hrt[h]), exit, log)
+}
+
+// updateAt is updateExit with the task's HRT slot h and PHT index idx
+// already computed: it holds the order of every training step and undo
+// entry.
+func (p *PerExit) updateAt(h, idx uint32, exit int, log *undoRing) {
 	init := p.kind.initState()
 	if log != nil {
 		p.pht.logUpdate(log, idx, init)

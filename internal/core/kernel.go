@@ -14,12 +14,14 @@ import (
 // compositions the experiment grids run — a PATH, GLOBAL or PER exit
 // predictor, an optional RAS and an optional real CTTB — the kernels below
 // resolve the components to their concrete types once and call them
-// directly. One step shares what prediction read with the update that
-// follows it: the exit predictor's PHT index and state word, PER's HRT
-// slot and the CTTB index. Nothing between the two changes the history
-// those indices fold (the path, exit and HRT registers advance only
-// inside the update, after the read), so a recomputed index would be the
-// same one.
+// directly. One step shares the indices prediction computed with the
+// update that follows it: the exit predictor's PHT index, PER's HRT slot
+// and the CTTB index. Nothing between the two changes the history those
+// indices fold (the path, exit and HRT registers advance only inside the
+// update, after the read), so a recomputed index would be the same one.
+// The predictors' own predictAt/updateAt (exit_real.go) and
+// lookupAt/trainAt (ttb.go) do the table work, so PredictExit/updateExit
+// and the kernel share one definition of each update and its undo order.
 //
 // The step is exact: the same state transitions, RNG draws, obs counter
 // increments and undo-log entries, in the same order, as the generic
@@ -53,81 +55,48 @@ func resolveExit(p ExitPredictor) (k exitKernel, ok bool) {
 	return k, true
 }
 
-// exitRead is what a kernel prediction read, carried into the update of
-// the same step: the PHT index and its state word, and PER's HRT slot.
+// exitRead is what a kernel prediction computed, carried into the update
+// of the same step: the PHT index and PER's HRT slot.
 type exitRead struct {
 	idx uint32
 	hrt uint32
-	s   uint64
 }
 
-// predict is PredictExit, recording what it read in r.
+// predict is PredictExit, recording the indices it computed in r.
 func (k *exitKernel) predict(t *tfg.Task, r *exitRead) int {
-	n := len(t.Exits)
 	switch {
 	case k.path != nil:
-		p := k.path
-		if p.opts.SkipSingleExit && n == 1 {
+		if k.path.skips(t) {
 			return 0
 		}
-		r.idx = p.path.index(t.Start)
-		r.s = p.pht.at(r.idx, p.kind.initState())
-		return clampExitN(p.kind.predictState(r.s, &p.rng), n)
+		r.idx = k.path.path.index(t.Start)
+		return k.path.predictAt(t, r.idx)
 	case k.global != nil:
-		p := k.global
-		r.idx = p.index(t.Start)
-		r.s = p.pht.at(r.idx, p.kind.initState())
-		return clampExitN(p.kind.predictState(r.s, &p.rng), n)
+		r.idx = k.global.index(t.Start)
+		return k.global.predictAt(t, r.idx)
 	default:
 		p := k.per
 		r.hrt = p.hrtIndex(t.Start)
 		r.idx = p.phtIndex(t.Start, p.hrt[r.hrt])
-		r.s = p.pht.at(r.idx, p.kind.initState())
-		return clampExitN(p.kind.predictState(r.s, &p.rng), n)
+		return p.predictAt(t, r.idx)
 	}
 }
 
-// update is updateExit toward exit for the step predict read r for. With
-// spec set every mutation is undo-logged in the predictor's own ring
+// update is updateExit toward exit at the indices predict computed in r.
+// With spec set every mutation is undo-logged in the predictor's own ring
 // (SpecUpdateExit); otherwise it is the idealized UpdateExit.
 func (k *exitKernel) update(t *tfg.Task, r *exitRead, exit int, spec bool) {
+	var log *undoRing
+	if spec {
+		log = k.undo()
+	}
 	switch {
 	case k.path != nil:
-		p := k.path
-		single := len(t.Exits) == 1
-		if !(p.opts.SkipSingleExit && single) {
-			if p.opts.TrainLatency > 0 {
-				// Never under spec: specErr refuses TrainLatency.
-				p.pendPush(r.idx, exit)
-			} else {
-				if spec {
-					p.pht.logUpdate(&p.undo, r.idx, p.kind.initState())
-				}
-				p.pht.words[r.idx] = p.kind.updateState(r.s, exit)
-			}
-		}
-		if !(p.opts.SkipSingleExitHistory && single) {
-			if spec {
-				logPathHist(&p.undo, &p.path.hist)
-			}
-			p.path.push(t.Start)
-		}
+		k.path.updateAt(t, r.idx, exit, log)
 	case k.global != nil:
-		p := k.global
-		if spec {
-			p.pht.logUpdate(&p.undo, r.idx, p.kind.initState())
-			p.undo.push(specUndo{kind: undoExitHist, prev: uint64(p.hist)})
-		}
-		p.pht.words[r.idx] = p.kind.updateState(r.s, exit)
-		p.hist = p.hist.Push(exit, p.depth)
+		k.global.updateAt(r.idx, exit, log)
 	default:
-		p := k.per
-		if spec {
-			p.pht.logUpdate(&p.undo, r.idx, p.kind.initState())
-			p.undo.push(specUndo{kind: undoHRT, idx: r.hrt, prev: uint64(p.hrt[r.hrt])})
-		}
-		p.pht.words[r.idx] = p.kind.updateState(r.s, exit)
-		p.hrt[r.hrt] = p.hrt[r.hrt].Push(exit, p.depth)
+		k.per.updateAt(r.hrt, r.idx, exit, log)
 	}
 }
 

@@ -44,17 +44,4 @@ func TestComposedKernelResolution(t *testing.T) {
 	if s, err := NewSpecTaskSession(NewCTTBOnly(cttb()), 4); err != nil || s.fast {
 		t.Errorf("CTTB-only: spec session fast %v (err %v), want the generic step", s != nil && s.fast, err)
 	}
-	for _, c := range []struct {
-		name string
-		p    ExitPredictor
-		want bool
-	}{{"path", path(), true}, {"global", global(), true}, {"per", per(), true}, {"ideal", NewIdealPath(7, LEH2), false}} {
-		s, err := NewSpecExitSession(c.p, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if s.fast != c.want {
-			t.Errorf("%s: spec exit session fast %v, want %v", c.name, s.fast, c.want)
-		}
-	}
 }

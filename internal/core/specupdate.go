@@ -448,11 +448,6 @@ type SpecExitSession struct {
 	head int
 	n    int
 
-	// kern is pred resolved for the devirtualized step (kernel.go),
-	// valid when fast is set.
-	kern exitKernel
-	fast bool
-
 	rollbacks    int
 	repairFrames int
 }
@@ -475,77 +470,30 @@ func NewSpecExitSession(p ExitPredictor, lag int) (*SpecExitSession, error) {
 	if lag < 0 {
 		lag = 0
 	}
-	s := &SpecExitSession{
+	return &SpecExitSession{
 		pred: sp,
 		lag:  lag,
 		win:  make([]specExitFrame, lag+1),
-	}
-	s.kern, s.fast = resolveExit(p)
-	return s, nil
+	}, nil
 }
 
 // Step predicts task t, speculatively trains the predictor with its own
 // prediction, and resolves the step that fell due. It returns the
 // prediction for scoring.
 func (s *SpecExitSession) Step(t *tfg.Task, actual int) int {
-	if s.fast {
-		return s.step(t, actual)
-	}
 	pred := s.pred.PredictExit(t)
 	mark := s.pred.MarkExit()
 	s.pred.SpecUpdateExit(t, pred)
-	s.push(specExitFrame{task: t, pred: int8(pred), act: int8(actual), mark: mark})
-	return pred
-}
-
-// step is Step through the devirtualized exit kernel: one index and one
-// PHT read shared by the prediction and its speculative update.
-func (s *SpecExitSession) step(t *tfg.Task, actual int) int {
-	var r exitRead
-	pred := s.kern.predict(t, &r)
-	mark := s.kern.undo().mark()
-	s.kern.update(t, &r, pred, true)
-	s.push(specExitFrame{task: t, pred: int8(pred), act: int8(actual), mark: mark})
-	return pred
-}
-
-// push windows frame f and resolves the oldest frame once it falls due.
-func (s *SpecExitSession) push(f specExitFrame) {
 	i := s.head + s.n
 	if i >= len(s.win) {
 		i -= len(s.win)
 	}
-	s.win[i] = f
+	s.win[i] = specExitFrame{task: t, pred: int8(pred), act: int8(actual), mark: mark}
 	s.n++
 	if s.n > s.lag {
 		s.resolveOldest()
 	}
-}
-
-// replayBlock steps every prediction step of b through the session,
-// returning the block's step and miss counts: the block kernel of
-// EvaluateExitSpecBlocks.
-func (s *SpecExitSession) replayBlock(b *trace.Block) (steps, misses int) {
-	entries := b.Dict.Entries
-	taskIdx, exits := b.TaskIdx, b.Exits
-	for i := 0; i < b.N; i++ {
-		e := exits[i]
-		if e == trace.HaltExit {
-			continue
-		}
-		t := entries[taskIdx[i]].Task
-		var pred int
-		if s.fast {
-			pred = s.step(t, int(e))
-		} else {
-			pred = s.Step(t, int(e))
-		}
-		steps++
-		if pred != int(e) {
-			misses++
-		}
-	}
-	return steps, misses
+	return pred
 }
 
 // Finish resolves every still-windowed outcome at trace end.
@@ -568,16 +516,10 @@ func (s *SpecExitSession) resolveOldest() {
 				j -= len(s.win)
 			}
 			next = s.win[j].mark
-		} else if s.fast {
-			next = s.kern.undo().mark()
 		} else {
 			next = s.pred.MarkExit()
 		}
-		if s.fast {
-			s.kern.undo().commitTo(next)
-		} else {
-			s.pred.CommitExit(next)
-		}
+		s.pred.CommitExit(next)
 		s.head++
 		if s.head >= len(s.win) {
 			s.head = 0
