@@ -12,8 +12,8 @@ import (
 // its Mark/SpecUpdate twins through itabs, and every component recomputes
 // the index its prediction already computed. For the realizable
 // compositions the experiment grids run — a PATH, GLOBAL or PER exit
-// predictor, an optional RAS and an optional real CTTB — the kernels below
-// resolve the components to their concrete types once and call them
+// predictor, an optional RAS and an optional real CTTB — composedKernel
+// resolves the components to their concrete types once and calls them
 // directly. One step shares the indices prediction computed with the
 // update that follows it: the exit predictor's PHT index, PER's HRT slot
 // and the CTTB index. Nothing between the two changes the history those
@@ -30,40 +30,56 @@ import (
 // DelayedUpdate wrapper, CTTB-only, fault injectors, custom predictors —
 // keeps the generic loop.
 
-// exitKernel is a realizable exit predictor resolved to its concrete
-// type: exactly one field is set. The per-step dispatch on it is a
-// predictable branch, never an interface call.
-type exitKernel struct {
+// composedKernel is a HeaderPredictor resolved for the devirtualized
+// step. Exactly one of path, global and per is set, so the per-step
+// dispatch on them is a predictable branch, never an interface call;
+// undo is that predictor's undo ring. The RAS and real CTTB are called
+// directly (either may be nil).
+type composedKernel struct {
 	path   *PathExit
 	global *GlobalExit
 	per    *PerExit
+	undo   *undoRing
+	ras    *RAS
+	cttb   *CTTB
 }
 
-// resolveExit resolves p to an exitKernel; ok is false for every other
-// exit predictor.
-func resolveExit(p ExitPredictor) (k exitKernel, ok bool) {
-	switch p := p.(type) {
+// kernel resolves p's components; ok is false when any of them has no
+// concrete step (an ideal or wrapped exit predictor, a buffer other than
+// the real CTTB).
+func (p *HeaderPredictor) kernel() (k composedKernel, ok bool) {
+	switch e := p.exit.(type) {
 	case *PathExit:
-		k.path = p
+		k.path, k.undo = e, &e.undo
 	case *GlobalExit:
-		k.global = p
+		k.global, k.undo = e, &e.undo
 	case *PerExit:
-		k.per = p
+		k.per, k.undo = e, &e.undo
 	default:
 		return k, false
 	}
+	if p.buf != nil {
+		if k.cttb, ok = p.buf.(*CTTB); !ok {
+			return k, false
+		}
+	}
+	k.ras = p.ras
 	return k, true
 }
 
-// exitRead is what a kernel prediction computed, carried into the update
-// of the same step: the PHT index and PER's HRT slot.
-type exitRead struct {
-	idx uint32
-	hrt uint32
+// composedRead is what a composed prediction computed, carried into the
+// update of the same step: the exit PHT index, PER's HRT slot and, when
+// the predicted exit looked the CTTB up, its index.
+type composedRead struct {
+	idx     uint32
+	hrt     uint32
+	ttb     uint32
+	ttbRead bool
 }
 
-// predict is PredictExit, recording the indices it computed in r.
-func (k *exitKernel) predict(t *tfg.Task, r *exitRead) int {
+// predictExit is the exit predictor's PredictExit, recording the indices
+// it computed in r.
+func (k *composedKernel) predictExit(t *tfg.Task, r *composedRead) int {
 	switch {
 	case k.path != nil:
 		if k.path.skips(t) {
@@ -82,76 +98,13 @@ func (k *exitKernel) predict(t *tfg.Task, r *exitRead) int {
 	}
 }
 
-// update is updateExit toward exit at the indices predict computed in r.
-// With spec set every mutation is undo-logged in the predictor's own ring
-// (SpecUpdateExit); otherwise it is the idealized UpdateExit.
-func (k *exitKernel) update(t *tfg.Task, r *exitRead, exit int, spec bool) {
-	var log *undoRing
-	if spec {
-		log = k.undo()
-	}
-	switch {
-	case k.path != nil:
-		k.path.updateAt(t, r.idx, exit, log)
-	case k.global != nil:
-		k.global.updateAt(r.idx, exit, log)
-	default:
-		k.per.updateAt(r.hrt, r.idx, exit, log)
-	}
-}
-
-// undo returns the predictor's undo ring.
-func (k *exitKernel) undo() *undoRing {
-	switch {
-	case k.path != nil:
-		return &k.path.undo
-	case k.global != nil:
-		return &k.global.undo
-	default:
-		return &k.per.undo
-	}
-}
-
-// composedKernel is a HeaderPredictor resolved for the devirtualized
-// step: a realizable exit predictor, and the RAS and real CTTB called
-// directly (either may be nil).
-type composedKernel struct {
-	exit exitKernel
-	ras  *RAS
-	cttb *CTTB
-}
-
-// kernel resolves p's components; ok is false when any of them has no
-// concrete step (an ideal or wrapped exit predictor, a buffer other than
-// the real CTTB).
-func (p *HeaderPredictor) kernel() (k composedKernel, ok bool) {
-	if k.exit, ok = resolveExit(p.exit); !ok {
-		return k, false
-	}
-	if p.buf != nil {
-		if k.cttb, ok = p.buf.(*CTTB); !ok {
-			return k, false
-		}
-	}
-	k.ras = p.ras
-	return k, true
-}
-
-// composedRead is what a composed prediction read: the exit predictor's
-// read and, when the predicted exit looked the CTTB up, its index.
-type composedRead struct {
-	exit    exitRead
-	ttb     uint32
-	ttbRead bool
-}
-
-// predict is HeaderPredictor.Predict, recording what it read in r.
+// predict is HeaderPredictor.Predict, recording what it computed in r.
 func (k *composedKernel) predict(t *tfg.Task, r *composedRead) Prediction {
 	r.ttbRead = false
 	if len(t.Exits) == 0 {
 		return Prediction{}
 	}
-	e := k.exit.predict(t, &r.exit)
+	e := k.predictExit(t, r)
 	pred := Prediction{Exit: e}
 	x := &t.Exits[e]
 	switch {
@@ -170,18 +123,29 @@ func (k *composedKernel) predict(t *tfg.Task, r *composedRead) Prediction {
 	return pred
 }
 
-// update trains the components toward o for the step predict read r
-// for: HeaderPredictor.Update, or with spec set SpecUpdate (o is then the
+// update trains the components toward o at the indices predict computed
+// in r: HeaderPredictor.Update, or with spec set SpecUpdate (o is then the
 // prediction, and the exit predictor and CTTB undo-log every mutation).
 func (k *composedKernel) update(t *tfg.Task, r *composedRead, o Outcome, spec bool) {
 	if len(t.Exits) > 0 {
-		k.exit.update(t, &r.exit, o.Exit, spec)
+		var log *undoRing
+		if spec {
+			log = k.undo
+		}
+		switch {
+		case k.path != nil:
+			k.path.updateAt(t, r.idx, o.Exit, log)
+		case k.global != nil:
+			k.global.updateAt(r.idx, o.Exit, log)
+		default:
+			k.per.updateAt(r.hrt, r.idx, o.Exit, log)
+		}
 		x := &t.Exits[o.Exit]
 		if x.Kind.IsIndirect() && k.cttb != nil {
 			if !r.ttbRead {
 				r.ttb = k.cttb.path.index(t.Start)
 			}
-			var log *undoRing
+			log = nil
 			if spec {
 				log = &k.cttb.undo
 			}
@@ -206,7 +170,7 @@ func (k *composedKernel) update(t *tfg.Task, r *composedRead, o Outcome, spec bo
 
 // markInto stores HeaderPredictor.MarkTask's checkpoint in m.
 func (k *composedKernel) markInto(m *TaskMark) {
-	*m = TaskMark{exit: k.exit.undo().mark()}
+	*m = TaskMark{exit: k.undo.mark()}
 	if k.cttb != nil {
 		m.buf = k.cttb.undo.mark()
 	}
@@ -217,7 +181,7 @@ func (k *composedKernel) markInto(m *TaskMark) {
 
 // commit is HeaderPredictor.CommitTask.
 func (k *composedKernel) commit(m *TaskMark) {
-	k.exit.undo().commitTo(m.exit)
+	k.undo.commitTo(m.exit)
 	if k.cttb != nil {
 		k.cttb.undo.commitTo(m.buf)
 	}
