@@ -192,11 +192,10 @@ func (p *PathExit) updateAt(t *tfg.Task, idx uint32, exit int, log *undoRing) {
 			// nil here: specErr refuses TrainLatency under speculation.)
 			p.pendPush(idx, exit)
 		} else {
-			init := p.kind.initState()
 			if log != nil {
-				p.pht.logUpdate(log, idx, init)
+				p.pht.logUpdate(log, idx, p.kind.initState())
 			}
-			p.pht.words[idx] = p.kind.updateState(p.pht.at(idx, init), exit)
+			p.train(idx, exit)
 		}
 	}
 	if !(p.opts.SkipSingleExitHistory && t.SingleExit()) {
